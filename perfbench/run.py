@@ -1,7 +1,7 @@
 """Benchmark of the strongroman CLI and library, one workload per process.
 
-    python3 perfbench/run.py --workload accept --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20
+    python3 perfbench/run.py --workload accept --seed 1 --seconds 18 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 18
 
 A single sequential client (closed loop, one call at a time) runs whole
 passes over the workload's tasks until ``--seconds`` have passed and at least
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=16)
+    parser.add_argument("--seconds", type=float, default=18)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

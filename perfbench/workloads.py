@@ -28,21 +28,34 @@ from strongroman import cli, generator, recognizer
 # and keep the calls whose cost the seed changes (random trees, growth seeds,
 # formulas) away from those ranks or numerous enough to average out; see
 # README.md.
-# The seed changes vertex labels, random trees, growth seeds and formulas,
-# never the sizes or counts.
-ACCEPT_SPINES = ((14, 11), (20, 3), (26, 4))  # (k, copies) of C_k
+# The seed changes random trees and their labels, the labels of dp-rdf
+# inputs, growth seeds and formulas, never the sizes or counts.
+# Copy i of a caterpillar, and of a path or star in `large`, is relabelled
+# with random.Random(i), whatever the seed.  Relabelling alone moves the cost
+# of recognizing them by up to half, so seeded labels would move the medians;
+# copies of one labelling would give a band of one cost, whose quantiles jump
+# between the host's fast and slow states instead of moving smoothly.
+ACCEPT_SPINES = ((14, 22), (26, 6))  # (k, copies) of C_k
 ACCEPT_MEMBERS = (36, 8)  # (order, count) of members with seeded growth
 ACCEPT_BASELINE = ((40, 0), (80, 0), (160, 0))  # ROADMAP baseline rows (n, growth seed)
-LARGE_RECOGNIZE = (("random", 60, 3), ("star", 400, 2), ("path", 100, 3), ("path", 150, 4))
+# In `large`, recognizing P_120 or K_{1,279} and dp-rdf at 10^4 vertices all
+# cost about 100 ms: the medians and tails read that band.
+LARGE_RECOGNIZE = (("random", 60, 2), ("star", 280, 2), ("path", 120, 14))
 LARGE_DP = (("path", 100_000), ("path", 10_000), ("star", 10_000), ("caterpillar", 2_500))
-GROW_ORDERS = (28, 32, 36) * 10  # with seeded growth
-GROW_FIXED = (50, 0, 7)  # (order, growth seed, copies); the tails read these
+# In `grow`, fixed growth seeds give a fixed spread of costs (20-90 ms) for
+# the medians to read; the seeded generates are cheaper and sit below them.
+GROW_SEEDED = (20, 8)  # (order, count) with seeded growth
+GROW_FIXED = tuple((n, seed) for n in (28, 32, 36) for seed in range(1, 9))  # (order, growth seed)
+GROW_TAIL = (50, 0, 7)  # (order, growth seed, copies); the tails read these
 GROW_ENUMERATE = ((8, 269), (9, 731))  # (max order, member lines emitted at commit 5e43b90)
 # Oracle trees keep fixed labels: the exhaustive search visits vertices in
-# label order, so relabelling alone moves its cost by about a fifth.
-ORACLE_FIXED = (("caterpillar", 3, 2), ("path", 13, 6), ("spider", 6, 1))
-ORACLE_RANDOM = (11, 1)  # (order, count) of random trees
-ORACLE_CNF = ((3, 5), (3, 5), (4, 1))  # (variables, clauses)
+# label order, so relabelling alone moves its cost by about a fifth.  P_13
+# solves and 16-vertex gadgets cost about the same (60-80 ms), so the medians
+# and tails read one band of calls; C_3 (the strongly equal tree) and the
+# random tree are too few to move those ranks.
+ORACLE_FIXED = (("caterpillar", 3, 1), ("path", 13, 3))
+ORACLE_RANDOM = (13, 1)  # (order, count) of random trees
+ORACLE_CNF = ((3, 4),) * 9  # (variables, clauses): 16 vertices each
 
 # Sizes that commit 5e43b90 cannot finish in a run, with the time measured there.
 SKIPPED = (
@@ -92,21 +105,15 @@ def caterpillar_edges(k: int) -> list[tuple[int, int]]:
     return edges
 
 
-def spider_edges(legs: int) -> list[tuple[int, int]]:
-    """A centre with ``legs`` paths of two edges (2 * legs + 1 vertices)."""
-    return [e for i in range(legs) for e in ((0, 2 * i + 1), (2 * i + 1, 2 * i + 2))]
-
-
 SHAPES = {
     "path": path_edges,
     "star": star_edges,
     "caterpillar": caterpillar_edges,
-    "spider": spider_edges,
 }
 
 
 def shape_order(shape: str, size: int) -> int:
-    return {"caterpillar": 4 * size, "spider": 2 * size + 1}.get(shape, size)
+    return 4 * size if shape == "caterpillar" else size
 
 
 def plain(n: int, edges) -> str:
@@ -143,9 +150,8 @@ def satisfiable(n_vars: int, clauses) -> bool:
 
 
 def gamma_R_closed_form(shape: str, size: int) -> int:
-    """Roman number with X = V: ceil(2n/3) on P_n, 2 on stars, 2k on C_k
-    and 2 + legs on spiders."""
-    return {"path": -(-2 * size // 3), "star": 2, "caterpillar": 2 * size, "spider": 2 + size}[shape]
+    """Roman number with X = V: ceil(2n/3) on P_n, 2 on stars and 2k on C_k."""
+    return {"path": -(-2 * size // 3), "star": 2, "caterpillar": 2 * size}[shape]
 
 
 # -- calls and tasks ----------------------------------------------------------
@@ -233,7 +239,7 @@ def build_accept(rng: random.Random, work: str) -> list[Task]:
     tasks = []
     for k, copies in ACCEPT_SPINES:
         for i in range(copies):
-            text = relabelled(4 * k, caterpillar_edges(k), rng)
+            text = relabelled(4 * k, caterpillar_edges(k), random.Random(i))
             tasks.append(recognize_task(work, f"C{k}-{i}", text, True))
     order, count = ACCEPT_MEMBERS
     rows = [(order, rng.randrange(1 << 30)) for _ in range(count)] + list(ACCEPT_BASELINE)
@@ -280,10 +286,13 @@ def build_large(rng: random.Random, work: str) -> list[Task]:
     tasks = []
     for shape, n, copies in LARGE_RECOGNIZE:
         for i in range(copies):
-            edges = prufer_edges(n, rng) if shape == "random" else SHAPES[shape](n)
+            if shape == "random":
+                text = relabelled(n, prufer_edges(n, rng), rng)
+            else:
+                text = relabelled(n, SHAPES[shape](n), random.Random(i))
             # Golden at commit 5e43b90: paths and random trees of these
             # orders are rejected, stars accepted.
-            tasks.append(recognize_task(work, f"{shape}{n}-{i}", relabelled(n, edges, rng), shape == "star"))
+            tasks.append(recognize_task(work, f"{shape}{n}-{i}", text, shape == "star"))
     for shape, size in LARGE_DP:
         tasks.append(dp_task(work, shape, size, rng))
     return tasks
@@ -337,8 +346,10 @@ def enumerate_task(max_order: int, lines_expected: int) -> Task:
 
 
 def build_grow(rng: random.Random, work: str) -> list[Task]:
-    tasks = [generate_task(n, rng.randrange(1 << 30)) for n in GROW_ORDERS]
-    order, seed, copies = GROW_FIXED
+    order, count = GROW_SEEDED
+    tasks = [generate_task(order, rng.randrange(1 << 30)) for _ in range(count)]
+    tasks += [generate_task(n, seed) for n, seed in GROW_FIXED]
+    order, seed, copies = GROW_TAIL
     tasks += [generate_task(order, seed) for _ in range(copies)]
     tasks += [enumerate_task(m, lines) for m, lines in GROW_ENUMERATE]
     return tasks
@@ -398,7 +409,12 @@ WORKLOADS = {"accept": build_accept, "large": build_large, "grow": build_grow, "
 def build(name: str, seed: int, work: str) -> list[Task]:
     """The workload's tasks, with input and certificate files under ``work``."""
     os.makedirs(work, exist_ok=True)
-    tasks = WORKLOADS[name](random.Random(seed), work)
+    rng = random.Random(seed)
+    tasks = WORKLOADS[name](rng, work)
+    # Host speed switches between a fast and a slow state every second or
+    # so; shuffled, each band of like calls samples the whole run rather than
+    # a few stretches of it.
+    rng.shuffle(tasks)
     for i, task in enumerate(tasks):
         task.cert_path = os.path.join(work, f"cert{i}.json")
     return tasks
