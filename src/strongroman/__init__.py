@@ -5,7 +5,7 @@ Library layout:
 - :mod:`strongroman.graphs`      immutable graphs/trees, parsing, canonical forms
 - :mod:`strongroman.roman`       assignments and the domination predicates
 - :mod:`strongroman.solver`      exhaustive oracles and the class-membership test
-- :mod:`strongroman.treedp`      linear-time Roman number on trees
+- :mod:`strongroman.treedp`      linear-time Roman number on trees, all-roots pass
 - :mod:`strongroman.recognizer`  reduction-based membership decision with traces
 - :mod:`strongroman.generator`   the five extension operations and their closure
 - :mod:`strongroman.gadget`      CNF reduction graph and its verification

@@ -368,12 +368,27 @@ def tree_path(t: Tree, a: int, b: int) -> list[int]:
     return path
 
 
+def _bfs(t: Tree, source: int) -> tuple[list[int], list[int]]:
+    """Distances from ``source`` and the vertices in visiting order."""
+    dist = [-1] * t.n
+    dist[source] = 0
+    order = [source]
+    for v in order:
+        for u in t.neighbors(v):
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                order.append(u)
+    return dist, order
+
+
 def longest_x_path(t: Tree, x: Iterable[int]) -> list[int]:
     """A maximum-length path whose two endpoints both lie in ``x``.
 
     Ties break to the lexicographically smallest vertex sequence, so the
     result is deterministic; any maximum-length choice would do for the
-    reductions built on top of this.
+    reductions built on top of this.  Linear time: a double sweep finds the
+    path's two ends ``a`` and ``b``, then a walk from the smaller one takes
+    the smallest next vertex that still reaches full length.
     """
     xs = sorted(set(x))
     for a in xs:
@@ -381,28 +396,27 @@ def longest_x_path(t: Tree, x: Iterable[int]) -> list[int]:
             raise ValueError(f"vertex {a} out of range")
     if len(xs) < 2:
         raise ValueError("need at least two marked vertices")
-    best_key = None
-    best_path = None
-    for a in xs:
-        parent = {a: a}
-        dist = {a: 0}
-        todo = deque([a])
-        while todo:
-            v = todo.popleft()
-            for u in t.neighbors(v):
-                if u not in parent:
-                    parent[u] = v
-                    dist[u] = dist[v] + 1
-                    todo.append(u)
-        for b in xs:
-            if b == a:
-                continue
-            path = [b]
-            while path[-1] != a:
-                path.append(parent[path[-1]])
-            path.reverse()
-            key = (-dist[b], tuple(path))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_path = path
-    return best_path
+    # Every X-vertex that ends a longest X-path lies length/2 from the middle
+    # of those paths.  Sweep one returns the smallest such end off xs[0]'s
+    # side of the middle, sweep two the smallest off a's side; the smallest
+    # end of all is off one of the two sides, so it is a or b.
+    d0, _ = _bfs(t, xs[0])
+    a = max(xs, key=d0.__getitem__)
+    da, _ = _bfs(t, a)
+    b = max(xs, key=da.__getitem__)
+    length = da[b]
+    start = min(a, b)
+
+    depth, order = _bfs(t, start)
+    xset = set(xs)
+    reaches = bytearray(t.n)  # subtree holds an X-vertex at depth ``length``
+    for v in reversed(order):
+        if depth[v] == length and v in xset:
+            reaches[v] = 1
+        if reaches[v] and v != start:
+            reaches[next(u for u in t.neighbors(v) if depth[u] < depth[v])] = 1
+    path = [start]
+    while len(path) <= length:
+        v = path[-1]
+        path.append(next(u for u in t.neighbors(v) if depth[u] > depth[v] and reaches[u]))
+    return path

@@ -3,8 +3,13 @@
 A triple bundles a tree with the constrained set X and the certificate set Y.
 Membership is decided by repeatedly cutting away the far end of a longest
 X-path: the cut configuration either fails one of a fixed list of structural
-conditions (reject) or leaves one or two smaller candidate triples whose
-membership is equivalent.  Every decision comes with a replayable trace.
+conditions (reject) or leaves a smaller triple whose membership is
+equivalent.  In the three-or-more-branch pattern the reduced Y' may or may
+not keep the path vertex u; the chain keeps the candidate whose Y' equals
+Y*(T', X'), the vertices that see a 2 under some minimum Roman function
+(``treedp.two_neighbourhood``), since a member's Y is exactly that set.  The
+decision is thus one chain of linear-time steps, and every decision comes
+with a replayable trace.
 
 Trace coordinates: ``decide_in_S`` relabels the input triple canonically
 before working, and every child triple is canonically relabelled as well, so
@@ -20,6 +25,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .graphs import Split, Tree, canonical_relabel, longest_x_path, split_at
+from .treedp import two_neighbourhood
 
 # Vertex colors for canonical forms: outside both sets, in Y only, in X
 # (membership in X forces membership in Y, so three colors suffice).
@@ -247,30 +253,18 @@ def _child_triple(tr: Triple, loc_split: Split, u: int, with_u: bool) -> Triple:
     return Triple(loc_split.t_prime, x_new, frozenset(y_new))
 
 
-def _reduce_detailed(tr: Triple, loc: ReductionLocus):
-    """Candidate children plus their Y'-includes-u flags, or a failure reason."""
-    branches = tuple(zip(loc.ws, loc.w_sets))
+def _locus_failure(tr: Triple, loc: ReductionLocus) -> Optional[str]:
+    """Why the locus admits no reduced triple, or ``None`` when it does."""
     if loc.ell == 1:
-        return [], "a single branch meets X (need at least two)"
-    if loc.ell == 2:
-        if loc.u not in tr.x:
-            return [], "two branches meet X but the path vertex u is not in X"
-        if loc.u not in tr.y or loc.v not in tr.y:
-            return [], "u and v must both lie in Y"
-        bad = [w for w, wset in branches if wset & tr.y != {w}]
-        if bad:
-            return [], f"branch at {bad[0]} must meet Y exactly in its root"
-        return [(_child_triple(tr, loc.split, loc.u, False), False)], None
-    # three or more branches meet X
+        return "a single branch meets X (need at least two)"
+    if loc.ell == 2 and loc.u not in tr.x:
+        return "two branches meet X but the path vertex u is not in X"
     if loc.u not in tr.y or loc.v not in tr.y:
-        return [], "u and v must both lie in Y"
-    bad = [w for w, wset in branches if wset & tr.y != {w}]
+        return "u and v must both lie in Y"
+    bad = [w for w, wset in zip(loc.ws, loc.w_sets) if wset & tr.y != {w}]
     if bad:
-        return [], f"branch at {bad[0]} must meet Y exactly in its root"
-    return [
-        (_child_triple(tr, loc.split, loc.u, False), False),
-        (_child_triple(tr, loc.split, loc.u, True), True),
-    ], None
+        return f"branch at {bad[0]} must meet Y exactly in its root"
+    return None
 
 
 def reduce(tr: Triple, loc: ReductionLocus) -> list[Triple]:
@@ -286,8 +280,10 @@ def reduce(tr: Triple, loc: ReductionLocus) -> list[Triple]:
         covered |= wset
     if covered != set(tr.tree.vertices()) or set(loc.ws) != set(tr.tree.neighbors(loc.v)) - {loc.u}:
         raise ValueError("locus does not match the triple")
-    children, _ = _reduce_detailed(tr, loc)
-    return [child for child, _ in children]
+    if _locus_failure(tr, loc) is not None:
+        return []
+    flags = (False,) if loc.ell == 2 else (False, True)
+    return [_child_triple(tr, loc.split, loc.u, with_u) for with_u in flags]
 
 
 def _base_case(tr: Triple):
@@ -303,58 +299,57 @@ def _base_case(tr: Triple):
     return False, "exactly two constrained vertices never occur in the class"
 
 
-def _decide(tr: Triple, memo: dict) -> tuple[bool, ReductionTrace]:
-    key = tr.canonical_key
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if len(tr.x) <= 2:
-        ok, marker = _base_case(tr)
-        trace = (
-            ReductionTrace((), marker, None) if ok else ReductionTrace((), None, marker)
-        )
-        memo[key] = (ok, trace)
-        return ok, trace
+def _rejection(depth: int, reason: str) -> ReductionTrace:
+    """A rejection whose text wraps ``reason`` once per step taken before it."""
+    for _ in range(depth):
+        reason = f"no reduced triple is accepted ({reason})"
+    return ReductionTrace((), None, reason)
 
-    loc = find_locus(tr)
-    case = "a" if loc.ell == 2 else "b"
-    children, failure = _reduce_detailed(tr, loc)
-    if failure is not None:
-        result = (False, ReductionTrace((), None, failure))
-        memo[key] = result
-        return result
 
-    accepted = []
-    child_failure = None
-    for child, has_u in children:
+def _decide(tr: Triple) -> tuple[bool, ReductionTrace]:
+    """Follow the reduction chain from the canonical triple ``tr``.
+
+    In the three-or-more pattern the two candidates differ only at u, and a
+    member's Y' is ``two_neighbourhood(T', X')``, so that set picks the one
+    candidate that can be a member.  The identity fails for the constrained
+    one-vertex seed, so a child with |X'| <= 2 keeps the candidate without u:
+    no base case accepts the one with u.
+    """
+    steps: list[TraceStep] = []
+    while len(tr.x) > 2:
+        loc = find_locus(tr)
+        failure = _locus_failure(tr, loc)
+        if failure is not None:
+            return False, _rejection(len(steps), failure)
+        child = _child_triple(tr, loc.split, loc.u, False)
         if not len(child.x) < len(tr.x):
             raise InternalInconsistencyError("reduction did not shrink X")
+        has_u = False
+        if loc.ell >= 3 and len(child.x) > 2:
+            u_prime = loc.split.to_prime[loc.u]
+            y_star = two_neighbourhood(child.tree, child.x)
+            if y_star - {u_prime} != child.y:
+                reason = "no reduced triple is accepted (neither Y' candidate is Y* of the reduced tree)"
+                return False, _rejection(len(steps), reason)
+            has_u = u_prime in y_star
+            child = Triple(child.tree, child.x, y_star)
         child_c, _ = child.canonicalized()
-        ok, sub = _decide(child_c, memo)
-        if ok:
-            accepted.append((has_u, child_c, sub))
-        elif child_failure is None:
-            child_failure = sub.failure
-    if len(accepted) > 1:
-        raise InternalInconsistencyError(
-            "both Y' candidates were accepted; Y is not unique"
+        steps.append(
+            TraceStep(
+                u=loc.u,
+                v=loc.v,
+                ws=loc.ws,
+                ell=loc.ell,
+                case="a" if loc.ell == 2 else "b",
+                y_prime_has_u=has_u,
+                child_canonical=child_c.canonical_key,
+            )
         )
-    if accepted:
-        has_u, child_c, sub = accepted[0]
-        step = TraceStep(
-            u=loc.u,
-            v=loc.v,
-            ws=loc.ws,
-            ell=loc.ell,
-            case=case,
-            y_prime_has_u=has_u,
-            child_canonical=child_c.canonical_key,
-        )
-        result = (True, ReductionTrace((step,) + sub.steps, sub.base, None))
-    else:
-        result = (False, ReductionTrace((), None, f"no reduced triple is accepted ({child_failure})"))
-    memo[key] = result
-    return result
+        tr = child_c
+    ok, marker = _base_case(tr)
+    if not ok:
+        return False, _rejection(len(steps), marker)
+    return True, ReductionTrace(tuple(steps), marker, None)
 
 
 def decide_in_S(tr: Triple) -> tuple[bool, ReductionTrace]:
@@ -364,7 +359,7 @@ def decide_in_S(tr: Triple) -> tuple[bool, ReductionTrace]:
     module docstring) and, when accepting, replays via ``verify_trace``.
     """
     canon, _ = tr.canonicalized()
-    return _decide(canon, {})
+    return _decide(canon)
 
 
 def verify_trace(tr: Triple, trace: ReductionTrace) -> bool:

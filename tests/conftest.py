@@ -12,9 +12,12 @@ import random
 from functools import lru_cache
 
 import networkx as nx
+import pytest
 
+from strongroman.generator import enumerate_T
 from strongroman.graphs import Graph, Tree
 from strongroman.roman import Assignment, is_rdf, is_wrdf
+from strongroman.solver import solve_report
 
 
 def nx_to_graph(G) -> Graph:
@@ -107,3 +110,19 @@ def naive_gamma_R(g: Graph, x) -> int:
         if is_rdf(g, x, f) and (best is None or f.weight < best):
             best = f.weight
     return best
+
+
+@pytest.fixture(scope="session")
+def closure10():
+    return enumerate_T(10)
+
+
+@pytest.fixture(scope="session")
+def oracle_n7():
+    """solve_report for every tree with up to 7 vertices and every X."""
+    out = []
+    for n in range(1, 8):
+        for t in trees_of_order(n):
+            for x in subsets(n):
+                out.append((t, x, solve_report(t, x)))
+    return out

@@ -6,10 +6,8 @@ Each test prints a single ``ACCEPTANCE n: PASS`` line on success (run with
 
 import random
 
-import pytest
-
 from strongroman.gadget import CnfFormula, sat_brute_force, verify_gadget
-from strongroman.generator import enumerate_T, random_member, replay
+from strongroman.generator import random_member, replay
 from strongroman.graphs import Tree
 from strongroman.recognizer import Triple, decide_in_S, verify_trace
 from strongroman.solver import gamma_R, gamma_r, solve_report
@@ -31,22 +29,6 @@ SAMPLE_CNF = CnfFormula(
         ((0, False), (1, True), (2, False)),
     ),
 )
-
-
-@pytest.fixture(scope="session")
-def closure10():
-    return enumerate_T(10)
-
-
-@pytest.fixture(scope="session")
-def oracle_n7():
-    """solve_report for every tree with up to 7 vertices and every X."""
-    out = []
-    for n in range(1, 8):
-        for t in trees_of_order(n):
-            for x in subsets(n):
-                out.append((t, x, solve_report(t, x)))
-    return out
 
 
 def full_triple(t: Tree) -> Triple:

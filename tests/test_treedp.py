@@ -1,11 +1,13 @@
+import itertools
 import random
 import time
 
 import pytest
 
 from strongroman.graphs import Tree
-from strongroman.solver import gamma_R
-from strongroman.treedp import gamma_R_tree
+from strongroman.roman import Assignment, is_rdf
+from strongroman.solver import gamma_R, solve_report
+from strongroman.treedp import forced_two_weights, gamma_R_tree, two_neighbourhood
 
 from conftest import prufer_tree, subsets, trees_of_order
 
@@ -61,3 +63,48 @@ def test_large_tree_smoke():
     elapsed = time.monotonic() - start
     assert value > 0
     assert elapsed < 10.0
+
+
+def naive_forced_two_weights(t: Tree, x) -> list:
+    best = [None] * t.n
+    for vals in itertools.product((0, 1, 2), repeat=t.n):
+        f = Assignment(t, vals)
+        if is_rdf(t, x, f):
+            for w in range(t.n):
+                if vals[w] == 2 and (best[w] is None or f.weight < best[w]):
+                    best[w] = f.weight
+    return best
+
+
+def test_forced_two_weights_match_naive():
+    for n in range(1, 7):
+        for t in trees_of_order(n):
+            for x in subsets(n):
+                assert forced_two_weights(t, x) == naive_forced_two_weights(t, x)
+
+
+def test_forced_two_weights_never_below_gamma():
+    rng = random.Random(12)
+    for _ in range(300):
+        t = prufer_tree(rng.randint(1, 60), rng)
+        x = frozenset(v for v in range(t.n) if rng.random() < rng.random())
+        assert min(forced_two_weights(t, x)) >= gamma_R_tree(t, x)
+
+
+def test_two_neighbourhood_is_y_of_generated_members(closure10):
+    checked = 0
+    for m in closure10.values():
+        if m.n == 1 and m.x:
+            continue  # the constrained one-vertex seed: Y = V, no 2 needed
+        assert two_neighbourhood(m.tree, m.x) == solve_report(m.tree, m.x).y == m.y
+        checked += 1
+    assert checked == len(closure10) - 1
+
+
+def test_two_neighbourhood_is_y_of_oracle_members(oracle_n7):
+    checked = 0
+    for t, x, rep in oracle_n7:
+        if rep.all_min_wrdfs_are_rdf and not (t.n == 1 and x):
+            assert two_neighbourhood(t, x) == rep.y
+            checked += 1
+    assert checked > 0
