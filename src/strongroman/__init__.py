@@ -33,7 +33,6 @@ from .recognizer import (
     Triple,
     decide_in_S,
     find_locus,
-    reduce,
     verify_trace,
 )
 from .roman import Assignment, is_rdf, is_wrdf, is_wrdf_x, is_x_dominating, move
@@ -91,7 +90,6 @@ __all__ = [
     "move",
     "parse_edge_list",
     "random_member",
-    "reduce",
     "sat_brute_force",
     "solve_report",
     "split_at",

@@ -20,9 +20,9 @@ from typing import Optional
 
 from . import __version__
 from .gadget import CnfFormula, build_gadget, verify_gadget
-from .generator import OpStep, apply_op, enumerate_T, random_member, replay
-from .graphs import Tree, format_edge_list, parse_edge_list, to_dot
-from .recognizer import ReductionTrace, Triple, decide_in_S, verify_trace
+from .generator import OpStep, base_triples, enumerate_T, random_member, replay
+from .graphs import Graph, Tree, format_edge_list, parse_edge_list, to_dot
+from .recognizer import ReductionTrace, Triple, decide_in_S, triple_for_tree, verify_trace
 from .solver import solve_report
 from .treedp import gamma_R_tree
 
@@ -69,11 +69,6 @@ def _parse_x_spec(spec: str, n: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _read_tree(path: str) -> Tree:
-    with open(path, encoding="utf-8") as fh:
-        return Tree.from_graph(parse_edge_list(fh.read()))
-
-
 def _triple_json(tr: Triple) -> dict:
     return {
         "n": tr.n,
@@ -94,41 +89,44 @@ def _write_dot(path: Optional[str], graph) -> None:
             fh.write(to_dot(graph))
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _solve_result(inp: dict) -> tuple[dict, Tree]:
+    t = Tree.from_graph(parse_edge_list(inp["graph"]))
+    x = _parse_x_spec(inp["x"], t.n)
+    if inp["method"] == "dp-rdf":
+        return {"method": "dp-rdf", "gamma_R": gamma_R_tree(t, x)}, t
+    return {"method": "oracle", **solve_report(t, x).to_json_dict()}, t
+
+
 def _cmd_solve(args) -> int:
-    with open(args.tree, encoding="utf-8") as fh:
-        text = fh.read()
-    t = Tree.from_graph(parse_edge_list(text))
-    x = _parse_x_spec(args.x, t.n)
-    if args.method == "dp-rdf":
-        result = {"method": "dp-rdf", "gamma_R": gamma_R_tree(t, x)}
-    else:
-        report = solve_report(t, x)
-        result = {"method": "oracle", **report.to_json_dict()}
+    inp = {"graph": _read(args.tree), "x": args.x, "method": args.method}
+    result, t = _solve_result(inp)
     _write_dot(args.dot, t)
-    _emit(_certificate("solve", {"graph": text, "x": args.x, "method": args.method}, result))
+    _emit(_certificate("solve", inp, result))
     return 0
 
 
+def _recognize_result(inp: dict) -> tuple[dict, Tree]:
+    t = Tree.from_graph(parse_edge_list(inp["graph"]))
+    ok, trace = decide_in_S(triple_for_tree(t))
+    return {"strongly_equal": ok, "trace": trace.to_json_dict()}, t
+
+
 def _cmd_recognize(args) -> int:
-    with open(args.tree, encoding="utf-8") as fh:
-        text = fh.read()
-    t = Tree.from_graph(parse_edge_list(text))
-    triple = Triple(t, frozenset(range(t.n)), frozenset(range(t.n)))
-    ok, trace = decide_in_S(triple)
-    result = {"strongly_equal": ok, "trace": trace.to_json_dict()}
+    inp = {"graph": _read(args.tree)}
+    result, t = _recognize_result(inp)
     _write_dot(args.dot, t)
-    _emit(_certificate("recognize", {"graph": text}, result))
-    return 0 if ok else 1
+    _emit(_certificate("recognize", inp, result))
+    return 0 if result["strongly_equal"] else 1
 
 
-def _cmd_generate(args) -> int:
-    triple, steps = random_member(args.n, args.seed)
-    if args.n == 1:
-        base = triple
-    else:
-        base = replay([])
+def _generate_result(base: Triple, steps: list[OpStep], triple: Triple) -> dict:
     canon, _ = triple.canonicalized()
-    result = {
+    return {
         "base": _triple_json(base),
         "steps": [s.to_json_dict() for s in steps],
         "tree": format_edge_list(triple.tree),
@@ -136,6 +134,12 @@ def _cmd_generate(args) -> int:
         "y": sorted(triple.y),
         "canonical": canon.canonical_key,
     }
+
+
+def _cmd_generate(args) -> int:
+    triple, steps = random_member(args.n, args.seed)
+    base = triple if args.n == 1 else base_triples()[0]
+    result = _generate_result(base, steps, triple)
     _emit(_certificate("generate", {"n": args.n, "seed": args.seed}, result))
     return 0
 
@@ -151,10 +155,8 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _cmd_gadget(args) -> int:
-    with open(args.cnf, encoding="utf-8") as fh:
-        text = fh.read()
-    formula = CnfFormula.from_dimacs(text)
+def _gadget_result(inp: dict) -> tuple[dict, Graph]:
+    formula = CnfFormula.from_dimacs(inp["cnf"])
     gg = build_gadget(formula)
     result = {
         "graph": {
@@ -162,29 +164,21 @@ def _cmd_gadget(args) -> int:
             "edges": [list(e) for e in gg.graph.edges],
             "labels": {str(v): s for v, s in sorted(gg.graph.labels.items())},
         },
-        "report": None,
+        "report": verify_gadget(formula).to_json_dict() if inp["verify"] else None,
     }
-    if args.verify:
-        result["report"] = verify_gadget(formula).to_json_dict()
-    _write_dot(args.dot, gg.graph)
-    _emit(_certificate("gadget", {"cnf": text, "verify": bool(args.verify)}, result))
+    return result, gg.graph
+
+
+def _cmd_gadget(args) -> int:
+    inp = {"cnf": _read(args.cnf), "verify": bool(args.verify)}
+    result, graph = _gadget_result(inp)
+    _write_dot(args.dot, graph)
+    _emit(_certificate("gadget", inp, result))
     return 0
 
 
-def _recheck_solve(cert: dict) -> bool:
-    inp = cert["input"]
-    t = Tree.from_graph(parse_edge_list(inp["graph"]))
-    x = _parse_x_spec(inp["x"], t.n)
-    if inp["method"] == "dp-rdf":
-        fresh = {"method": "dp-rdf", "gamma_R": gamma_R_tree(t, x)}
-    else:
-        fresh = {"method": "oracle", **solve_report(t, x).to_json_dict()}
-    return fresh == cert["result"]
-
-
 def _recheck_recognize(cert: dict) -> bool:
-    t = Tree.from_graph(parse_edge_list(cert["input"]["graph"]))
-    triple = Triple(t, frozenset(range(t.n)), frozenset(range(t.n)))
+    triple = triple_for_tree(Tree.from_graph(parse_edge_list(cert["input"]["graph"])))
     trace = ReductionTrace.from_json_dict(cert["result"]["trace"])
     if cert["result"]["strongly_equal"]:
         return verify_trace(triple, trace)
@@ -196,39 +190,14 @@ def _recheck_generate(cert: dict) -> bool:
     result = cert["result"]
     steps = [OpStep.from_json_dict(s) for s in result["steps"]]
     base = _triple_from_json(result["base"])
-    triple = base
-    for step in steps:
-        triple = apply_op(triple, step)
-    canon, _ = triple.canonicalized()
-    return (
-        canon.canonical_key == result["canonical"]
-        and format_edge_list(triple.tree) == result["tree"]
-        and sorted(triple.x) == result["x"]
-        and sorted(triple.y) == result["y"]
-    )
-
-
-def _recheck_gadget(cert: dict) -> bool:
-    formula = CnfFormula.from_dimacs(cert["input"]["cnf"])
-    gg = build_gadget(formula)
-    fresh = {
-        "graph": {
-            "n": gg.graph.n,
-            "edges": [list(e) for e in gg.graph.edges],
-            "labels": {str(v): s for v, s in sorted(gg.graph.labels.items())},
-        },
-        "report": None,
-    }
-    if cert["input"]["verify"]:
-        fresh["report"] = verify_gadget(formula).to_json_dict()
-    return fresh == cert["result"]
+    return _generate_result(base, steps, replay(steps, base)) == result
 
 
 _RECHECKERS = {
-    "solve": _recheck_solve,
+    "solve": lambda cert: _solve_result(cert["input"])[0] == cert["result"],
     "recognize": _recheck_recognize,
     "generate": _recheck_generate,
-    "gadget": _recheck_gadget,
+    "gadget": lambda cert: _gadget_result(cert["input"])[0] == cert["result"],
 }
 
 
@@ -252,13 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="strongroman",
         description="Decide, generate and cross-verify trees whose Roman domination "
         "number strongly equals the weak Roman domination number.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count; execution is sequential, values above 1 are accepted "
-        "for compatibility and noted on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -302,11 +264,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags and 0 on --help; keep the contract
         return 2 if exc.code not in (0, None) else 0
-    if args.threads < 1:
-        _emit({"error": {"type": "ValueError", "message": "--threads must be at least 1"}})
-        return 2
-    if args.threads > 1:
-        print("note: execution is sequential; --threads > 1 has no effect", file=sys.stderr)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - contract: never crash, report as JSON

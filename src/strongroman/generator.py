@@ -66,26 +66,6 @@ def base_triples() -> tuple[Triple, Triple]:
     return Triple(k1, frozenset(), frozenset()), Triple(k1, frozenset({0}), frozenset({0}))
 
 
-def _scan_configurations(tr: Triple):
-    """All (v, u) reduction configurations of ``tr`` whose side conditions hold."""
-    for v in tr.tree.vertices():
-        for u in tr.tree.neighbors(v):
-            case = configuration_case(tr, v, u)
-            if case is not None:
-                yield v, u
-
-
-def _op4_anchors(tr: Triple) -> set[int]:
-    return {v for v, _ in _scan_configurations(tr)}
-
-
-def _op5_anchors(tr: Triple) -> set[int]:
-    anchors: set[int] = set()
-    for v, u in _scan_configurations(tr):
-        anchors.update(w for w in tr.tree.neighbors(v) if w != u)
-    return anchors
-
-
 def apply_op(tr: Triple, step: OpStep) -> Triple:
     """Apply one extension operation, validating its applicability condition."""
     t, x, y = tr.tree, tr.x, tr.y
@@ -136,7 +116,7 @@ def apply_op(tr: Triple, step: OpStep) -> Triple:
         return Triple(tree, new_x, y | {n})
 
     # operation 5
-    if a not in _op5_anchors(tr):
+    if not any(u != a and configuration_case(tr, v, u) for v in t.neighbors(a) for u in t.neighbors(v)):
         raise OperationNotApplicable(
             5, "anchor is not a branch root of any valid configuration"
         )
@@ -151,10 +131,12 @@ def applicable_steps(tr: Triple, max_order: int) -> Iterator[OpStep]:
         for u in tr.tree.vertices():
             if u not in tr.y:
                 yield OpStep(1, u)
-        for v in sorted(_op4_anchors(tr)):
+        t = tr.tree
+        configs = [(v, u) for v in t.vertices() for u in t.neighbors(v) if configuration_case(tr, v, u)]
+        for v in sorted({v for v, _ in configs}):
             yield OpStep(4, v, 0)
             yield OpStep(4, v, 1)
-        for w in sorted(_op5_anchors(tr)):
+        for w in sorted({w for v, u in configs for w in t.neighbors(v) if w != u}):
             yield OpStep(5, w)
     if n + 3 <= max_order:
         for u in tr.tree.vertices():

@@ -349,25 +349,6 @@ def canonical_form(t: Tree, colors: Optional[Mapping[int, int]] = None) -> str:
     return key
 
 
-def tree_path(t: Tree, a: int, b: int) -> list[int]:
-    """The unique path from ``a`` to ``b``."""
-    parent = {a: a}
-    todo = deque([a])
-    while todo:
-        v = todo.popleft()
-        if v == b:
-            break
-        for u in t.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                todo.append(u)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def _bfs(t: Tree, source: int) -> tuple[list[int], list[int]]:
     """Distances from ``source`` and the vertices in visiting order."""
     dist = [-1] * t.n

@@ -88,11 +88,12 @@ class Triple:
 
 @dataclass(frozen=True, eq=False)
 class ReductionLocus:
-    """The cut configuration at the far end of a longest X-path.
+    """A cut configuration: the cut vertex ``v`` and its neighbor ``u``.
 
-    ``v`` is the path's second vertex, ``u`` its third; ``ws`` lists the other
-    neighbors of ``v`` with the branches that meet X first (``ws[0]`` is the
-    path's endpoint).  ``split`` holds the kept component and its relabelling.
+    At the far end of a longest X-path, ``v`` is the path's second vertex and
+    ``u`` its third.  ``ws`` lists the other neighbors of ``v`` with the
+    ``ell`` branches that meet X first (``ws[0]`` is the path's endpoint).
+    ``split`` holds the kept component and its relabelling.
     """
 
     v: int
@@ -166,124 +167,81 @@ class ReductionTrace:
         return cls(steps=steps, base=base, failure=failure)
 
 
-def _branch_data(tr: Triple, v: int, u: int):
-    """Branches of ``tr`` at ``(v, u)`` with the premise check.
+def _locus(tr: Triple, v: int, u: int) -> Optional[ReductionLocus]:
+    """The configuration of ``tr`` at ``(v, u)``, or ``None`` when some
+    branch holds an X-vertex below its root (the configuration premise fails).
 
-    Returns ``(split, branches, ell)`` where branches are ``(w, W)`` pairs
-    with the X-meeting ones first, or ``None`` when some branch contains an
-    X-vertex deeper than its root (the configuration premise fails).
+    The X-meeting branches come first, each group ordered by root.  At the far
+    end of the lexicographically smallest longest X-path every X-meeting root
+    ends such a path, so the path's own endpoint is the smallest of them and
+    comes first.
     """
     split = split_at(tr.tree, v, u)
-    meeting = []
-    free = []
-    for w, wset in split.branches:
-        deep = (wset & tr.x) - {w}
-        if deep:
-            return None
-        if w in tr.x:
-            meeting.append((w, wset))
-        else:
-            free.append((w, wset))
-    return split, meeting + free, len(meeting)
+    if any((wset & tr.x) - {w} for w, wset in split.branches):
+        return None
+    ordered = sorted(split.branches, key=lambda b: b[0] not in tr.x)
+    return ReductionLocus(
+        v=v,
+        u=u,
+        ws=tuple(w for w, _ in ordered),
+        w_sets=tuple(s for _, s in ordered),
+        ell=sum(w in tr.x for w, _ in ordered),
+        split=split,
+    )
 
 
-def _case_of(tr: Triple, v: int, u: int, branches, ell: int) -> Optional[str]:
-    """Which of the two reducible patterns the configuration matches, if any."""
-    if u not in tr.y or v not in tr.y:
-        return None
-    if any(wset & tr.y != {w} for w, wset in branches):
-        return None
-    if ell == 2 and u in tr.x:
-        return "a"
-    if ell >= 3:
-        return "b"
-    return None
+def _classify(tr: Triple, loc: ReductionLocus) -> tuple[Optional[str], Optional[str]]:
+    """``(case, None)`` when the locus admits a reduced triple, with case
+    ``"a"`` (two X-meeting branches) or ``"b"`` (three or more); otherwise
+    ``(None, reason)`` for the first condition that fails.
+    """
+    if loc.ell == 0:
+        return None, "no branch meets X"
+    if loc.ell == 1:
+        return None, "a single branch meets X (need at least two)"
+    if loc.ell == 2 and loc.u not in tr.x:
+        return None, "two branches meet X but the path vertex u is not in X"
+    if loc.u not in tr.y or loc.v not in tr.y:
+        return None, "u and v must both lie in Y"
+    for w, wset in zip(loc.ws, loc.w_sets):
+        if wset & tr.y != {w}:
+            return None, f"branch at {w} must meet Y exactly in its root"
+    return ("a" if loc.ell == 2 else "b"), None
 
 
 def configuration_case(tr: Triple, v: int, u: int) -> Optional[str]:
     """``"a"``/``"b"`` when ``(v, u)`` forms a valid reduction configuration
     whose structural side conditions hold, else ``None``.
     """
-    data = _branch_data(tr, v, u)
-    if data is None:
-        return None
-    _, branches, ell = data
-    if ell == 0:
-        return None
-    return _case_of(tr, v, u, branches, ell)
+    loc = _locus(tr, v, u)
+    return None if loc is None else _classify(tr, loc)[0]
 
 
 def find_locus(tr: Triple) -> ReductionLocus:
     """Locate the reduction configuration at the far end of a longest X-path.
 
     Requires at least three constrained vertices.  The longest-path choice
-    guarantees that no branch hides a constrained vertex below its root; this
-    is re-checked defensively.
+    guarantees that no branch hides a constrained vertex below its root and
+    that the path's endpoint is the first branch root; both are re-checked
+    defensively.
     """
     if len(tr.x) < 3:
         raise ValueError("locus search needs at least three constrained vertices")
     path = longest_x_path(tr.tree, tr.x)
-    w1, v, u = path[0], path[1], path[2]
-    data = _branch_data(tr, v, u)
-    if data is None:
-        raise InternalInconsistencyError(
-            "longest-path locus has a constrained vertex below a branch root"
-        )
-    split, branches, ell = data
-    ordered = [(w1, next(s for w, s in branches if w == w1))]
-    ordered += [(w, s) for w, s in branches if w != w1 and w in tr.x]
-    ordered += [(w, s) for w, s in branches if w not in tr.x]
-    return ReductionLocus(
-        v=v,
-        u=u,
-        ws=tuple(w for w, _ in ordered),
-        w_sets=tuple(s for _, s in ordered),
-        ell=ell,
-        split=split,
-    )
+    loc = _locus(tr, path[1], path[2])
+    if loc is None or loc.ws[0] != path[0]:
+        raise InternalInconsistencyError("longest-path locus breaks the configuration premise")
+    return loc
 
 
-def _child_triple(tr: Triple, loc_split: Split, u: int, with_u: bool) -> Triple:
+def _child_triple(tr: Triple, loc: ReductionLocus, with_u: bool) -> Triple:
     """The reduced triple on the kept component, in its own labelling."""
-    to_prime = loc_split.to_prime
-    x_new = frozenset(to_prime[a] for a in tr.x if a in to_prime and a != u)
-    y_new = set(to_prime[a] for a in tr.y if a in to_prime and a != u)
+    to_prime = loc.split.to_prime
+    x_new = frozenset(to_prime[a] for a in tr.x if a in to_prime and a != loc.u)
+    y_new = set(to_prime[a] for a in tr.y if a in to_prime and a != loc.u)
     if with_u:
-        y_new.add(to_prime[u])
-    return Triple(loc_split.t_prime, x_new, frozenset(y_new))
-
-
-def _locus_failure(tr: Triple, loc: ReductionLocus) -> Optional[str]:
-    """Why the locus admits no reduced triple, or ``None`` when it does."""
-    if loc.ell == 1:
-        return "a single branch meets X (need at least two)"
-    if loc.ell == 2 and loc.u not in tr.x:
-        return "two branches meet X but the path vertex u is not in X"
-    if loc.u not in tr.y or loc.v not in tr.y:
-        return "u and v must both lie in Y"
-    bad = [w for w, wset in zip(loc.ws, loc.w_sets) if wset & tr.y != {w}]
-    if bad:
-        return f"branch at {bad[0]} must meet Y exactly in its root"
-    return None
-
-
-def reduce(tr: Triple, loc: ReductionLocus) -> list[Triple]:
-    """Candidate reduced triples at the locus: none when a structural
-    condition fails, one in the two-branch pattern, two (differing only in
-    whether u stays in Y') in the three-or-more pattern.
-    """
-    n = tr.tree.n
-    if not (0 <= loc.v < n and 0 <= loc.u < n) or not tr.tree.has_edge(loc.v, loc.u):
-        raise ValueError("locus does not match the triple")
-    covered = set(loc.split.to_prime) | {loc.v}
-    for wset in loc.w_sets:
-        covered |= wset
-    if covered != set(tr.tree.vertices()) or set(loc.ws) != set(tr.tree.neighbors(loc.v)) - {loc.u}:
-        raise ValueError("locus does not match the triple")
-    if _locus_failure(tr, loc) is not None:
-        return []
-    flags = (False,) if loc.ell == 2 else (False, True)
-    return [_child_triple(tr, loc.split, loc.u, with_u) for with_u in flags]
+        y_new.add(to_prime[loc.u])
+    return Triple(loc.split.t_prime, x_new, frozenset(y_new))
 
 
 def _base_case(tr: Triple):
@@ -318,14 +276,14 @@ def _decide(tr: Triple) -> tuple[bool, ReductionTrace]:
     steps: list[TraceStep] = []
     while len(tr.x) > 2:
         loc = find_locus(tr)
-        failure = _locus_failure(tr, loc)
+        case, failure = _classify(tr, loc)
         if failure is not None:
             return False, _rejection(len(steps), failure)
-        child = _child_triple(tr, loc.split, loc.u, False)
+        child = _child_triple(tr, loc, False)
         if not len(child.x) < len(tr.x):
             raise InternalInconsistencyError("reduction did not shrink X")
         has_u = False
-        if loc.ell >= 3 and len(child.x) > 2:
+        if case == "b" and len(child.x) > 2:
             u_prime = loc.split.to_prime[loc.u]
             y_star = two_neighbourhood(child.tree, child.x)
             if y_star - {u_prime} != child.y:
@@ -340,7 +298,7 @@ def _decide(tr: Triple) -> tuple[bool, ReductionTrace]:
                 v=loc.v,
                 ws=loc.ws,
                 ell=loc.ell,
-                case="a" if loc.ell == 2 else "b",
+                case=case,
                 y_prime_has_u=has_u,
                 child_canonical=child_c.canonical_key,
             )
@@ -376,18 +334,13 @@ def verify_trace(tr: Triple, trace: ReductionTrace) -> bool:
         n = cur.n
         if not (0 <= step.v < n and 0 <= step.u < n) or not cur.tree.has_edge(step.v, step.u):
             return False
-        data = _branch_data(cur, step.v, step.u)
-        if data is None:
+        loc = _locus(cur, step.v, step.u)
+        if loc is None or loc.ell != step.ell or sorted(step.ws) != sorted(loc.ws):
             return False
-        split, branches, ell = data
-        if ell != step.ell or sorted(step.ws) != sorted(w for w, _ in branches):
+        case, _ = _classify(cur, loc)
+        if case != step.case or (case == "a" and step.y_prime_has_u):
             return False
-        case = _case_of(cur, step.v, step.u, branches, ell)
-        if case != step.case:
-            return False
-        if case == "a" and step.y_prime_has_u:
-            return False
-        child = _child_triple(cur, split, step.u, step.y_prime_has_u)
+        child = _child_triple(cur, loc, step.y_prime_has_u)
         child_c, _ = child.canonicalized()
         if child_c.canonical_key != step.child_canonical:
             return False

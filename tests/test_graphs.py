@@ -252,12 +252,12 @@ class TestLongestXPath:
                 x = {0, n - 1}
             path = longest_x_path(t, x)
             assert path[0] in x and path[-1] in x
-            dist = _all_distances(t)
+            dist, parent = _all_distances(t)
             best = max(dist[a][b] for a in x for b in x if a != b)
             assert len(path) - 1 == best
             # lexicographic minimality among maximum-length candidates
             cands = [
-                _walk(t, a, b)
+                _walk(parent[a], b)
                 for a in sorted(x)
                 for b in sorted(x)
                 if a != b and dist[a][b] == best
@@ -266,23 +266,30 @@ class TestLongestXPath:
 
 
 def _all_distances(t: Tree):
+    """Distances and BFS parent pointers from every source vertex."""
     from collections import deque
 
     dist = []
+    parents = []
     for s in t.vertices():
         d = {s: 0}
+        parent = {s: s}
         q = deque([s])
         while q:
             v = q.popleft()
             for u in t.neighbors(v):
                 if u not in d:
                     d[u] = d[v] + 1
+                    parent[u] = v
                     q.append(u)
         dist.append(d)
-    return dist
+        parents.append(parent)
+    return dist, parents
 
 
-def _walk(t: Tree, a: int, b: int):
-    from strongroman.graphs import tree_path
-
-    return tree_path(t, a, b)
+def _walk(parent: dict, b: int) -> list[int]:
+    """The path from the BFS source of ``parent`` to ``b``."""
+    path = [b]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return path[::-1]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,10 +10,11 @@ from strongroman.recognizer import (
     ReductionTrace,
     TraceStep,
     Triple,
+    _child_triple,
+    _classify,
     configuration_case,
     decide_in_S,
     find_locus,
-    reduce,
     triple_for_tree,
     verify_trace,
 )
@@ -25,6 +27,7 @@ P4 = Tree(4, [(0, 1), (1, 2), (2, 3)])
 P5 = Tree(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 K13C1 = Tree(4, [(1, 0), (1, 2), (1, 3)])  # star with center 1
 K14 = Tree(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+P2 = Tree(2, [(0, 1)])
 
 
 class TestTriple:
@@ -70,25 +73,64 @@ class TestFindLocus:
 class TestReduce:
     def test_p4_rejected(self):
         tr = triple_for_tree(P4)
-        assert reduce(tr, find_locus(tr)) == []
+        assert _classify(tr, find_locus(tr)) == (None, "a single branch meets X (need at least two)")
 
     def test_star_case_a(self):
         tr = triple_for_tree(K13C1)
-        kids = reduce(tr, find_locus(tr))
-        assert len(kids) == 1
-        child = kids[0]
+        loc = find_locus(tr)
+        assert _classify(tr, loc) == ("a", None)
+        child = _child_triple(tr, loc, False)
         assert child.n == 1 and child.x == frozenset() and child.y == frozenset()
 
     def test_k14_case_b(self):
         tr = triple_for_tree(K14)
-        kids = reduce(tr, find_locus(tr))
-        assert len(kids) == 2
+        loc = find_locus(tr)
+        assert _classify(tr, loc) == ("b", None)
+        kids = [_child_triple(tr, loc, with_u) for with_u in (False, True)]
         assert [sorted(k.y) for k in kids] == [[], [0]]
         assert all(k.x == frozenset() for k in kids)
 
-    def test_locus_triple_mismatch(self):
-        with pytest.raises(ValueError, match="locus"):
-            reduce(triple_for_tree(P5), find_locus(triple_for_tree(K14)))
+
+# Every reason decide_in_S can give before its first step, and one from below
+# it; the texts are part of the rejection certificates.
+REJECTIONS = {
+    "single-branch": (P4, range(4), range(4), "a single branch meets X (need at least two)"),
+    "u-outside-x": (
+        Tree(5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
+        {1, 2, 4},
+        {1, 2, 4},
+        "two branches meet X but the path vertex u is not in X",
+    ),
+    "uv-outside-y": (Tree(4, [(0, 1), (0, 2), (0, 3)]), {1, 2, 3}, {1, 2, 3}, "u and v must both lie in Y"),
+    "branch-y": (
+        Tree(5, [(0, 1), (0, 3), (0, 4), (1, 2)]),
+        {1, 3, 4},
+        range(5),
+        "branch at 1 must meet Y exactly in its root",
+    ),
+    "y-star": (
+        Tree(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (1, 8)]),
+        range(2, 8),
+        range(8),
+        "no reduced triple is accepted (neither Y' candidate is Y* of the reduced tree)",
+    ),
+    "x-empty": (K1, (), {0}, "Y must be empty when X is empty"),
+    "x-single": (P2, {0}, {0}, "a single constrained vertex only works on the one-vertex tree"),
+    "x-pair": (P2, {0, 1}, {0, 1}, "exactly two constrained vertices never occur in the class"),
+    "wrapped": (
+        Tree(7, [(0, 1), (0, 4), (1, 2), (2, 3), (4, 5), (4, 6)]),
+        {0, 1, 2, 3, 5, 6},
+        range(7),
+        "no reduced triple is accepted (a single branch meets X (need at least two))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_rejection_reason(name):
+    tree, x, y, reason = REJECTIONS[name]
+    ok, trace = decide_in_S(Triple(tree, frozenset(x), frozenset(y)))
+    assert not ok and trace.steps == () and trace.failure == reason
 
 
 class TestDecide:
@@ -188,6 +230,41 @@ class TestVerifyTrace:
             None,
         )
         assert not verify_trace(tr, bad)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"ell": 3},
+            {"ws": (1,)},
+            {"ws": (1, 2)},
+            {"ws": (1, 2, 3)},
+            {"case": "b"},
+        ],
+    )
+    def test_corrupted_step(self, change):
+        tr = triple_for_tree(K13C1)
+        ok, trace = decide_in_S(tr)
+        assert ok and trace.steps[0].ws == (1, 3) and trace.steps[0].u == 2
+        bad = ReductionTrace((dataclasses.replace(trace.steps[0], **change),), trace.base, None)
+        assert not verify_trace(tr, bad)
+
+    def test_u_kept_in_case_a(self):
+        # The case-"a" child that keeps u is a member here, so only the rule
+        # that case "a" drops u from Y' rejects the trace.
+        tr = Triple(
+            Tree(8, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (5, 6), (5, 7)]),
+            frozenset({0, 1, 3, 4, 6, 7}),
+            frozenset({0, 1, 3, 4, 5, 6, 7}),
+        )
+        canon, _ = tr.canonicalized()
+        loc = find_locus(canon)
+        assert _classify(canon, loc) == ("a", None)
+        child = _child_triple(canon, loc, True)
+        ok, sub = decide_in_S(child)
+        assert ok
+        step = TraceStep(loc.u, loc.v, loc.ws, loc.ell, "a", True, child.canonical_key)
+        assert not verify_trace(tr, ReductionTrace((step,) + sub.steps, sub.base, None))
+        assert not decide_in_S(tr)[0]
 
     def test_empty_trace_base_case(self):
         tr = triple_for_tree(K1)

@@ -18,9 +18,10 @@ from strongroman.recognizer import (
     TraceStep,
     Triple,
     _base_case,
+    _child_triple,
+    _classify,
     decide_in_S,
     find_locus,
-    reduce,
     triple_for_tree,
 )
 
@@ -41,18 +42,17 @@ def _search(tr: Triple, memo: dict) -> tuple[bool, ReductionTrace]:
         result = (ok, ReductionTrace((), marker, None) if ok else ReductionTrace((), None, marker))
     else:
         loc = find_locus(tr)
+        case, _ = _classify(tr, loc)
         accepted = []
-        for has_u, child in zip((False, True), reduce(tr, loc)):
-            child_c, _ = child.canonicalized()
+        for has_u in {"a": (False,), "b": (False, True)}.get(case, ()):
+            child_c, _ = _child_triple(tr, loc, has_u).canonicalized()
             ok, sub = _search(child_c, memo)
             if ok:
                 accepted.append((has_u, child_c, sub))
         assert len(accepted) <= 1, "both Y' candidates were accepted"
         if accepted:
             has_u, child_c, sub = accepted[0]
-            step = TraceStep(
-                loc.u, loc.v, loc.ws, loc.ell, "a" if loc.ell == 2 else "b", has_u, child_c.canonical_key
-            )
+            step = TraceStep(loc.u, loc.v, loc.ws, loc.ell, case, has_u, child_c.canonical_key)
             result = (True, ReductionTrace((step,) + sub.steps, sub.base, None))
         else:
             result = (False, ReductionTrace((), None, "no reduced triple is accepted"))
