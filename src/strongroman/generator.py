@@ -8,6 +8,12 @@ suite checks in both directions.
 New vertices always take the next free identifiers: the single added vertex
 of operations 1, 4 and 5 is ``n``; operation 2 adds ``v, w1, w2 = n, n+1,
 n+2``; operation 3 adds ``v, w1, w2, w3 = n .. n+3``.
+
+Cost: operations 4 and 5 are anchored at reduction configurations, which
+``recognizer.configurations`` lists in one O(n) pass.  A growth step runs it
+once in ``applicable_steps`` and once more when ``apply_op`` checks an op-4
+or op-5 anchor, then builds and re-validates the grown ``Tree`` in
+O(n log n); growing a member of order n costs O(n² log n).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .graphs import Tree
-from .recognizer import Triple, configuration_case
+from .recognizer import Triple, configurations
 from .solver import SizeCapError
 
 ENUMERATION_ORDER_CAP = 10
@@ -107,7 +113,7 @@ def apply_op(tr: Triple, step: OpStep) -> Triple:
         return Triple(tree, x | new_x, y | {a, v, w1, w2, w3})
 
     if step.op == 4:
-        if not any(configuration_case(tr, a, u) for u in t.neighbors(a)):
+        if not any(v == a for v, _ in configurations(tr)):
             raise OperationNotApplicable(
                 4, "anchor is not the cut vertex of any valid configuration"
             )
@@ -116,7 +122,7 @@ def apply_op(tr: Triple, step: OpStep) -> Triple:
         return Triple(tree, new_x, y | {n})
 
     # operation 5
-    if not any(u != a and configuration_case(tr, v, u) for v in t.neighbors(a) for u in t.neighbors(v)):
+    if not any(u != a and t.has_edge(v, a) for v, u in configurations(tr)):
         raise OperationNotApplicable(
             5, "anchor is not a branch root of any valid configuration"
         )
@@ -132,7 +138,7 @@ def applicable_steps(tr: Triple, max_order: int) -> Iterator[OpStep]:
             if u not in tr.y:
                 yield OpStep(1, u)
         t = tr.tree
-        configs = [(v, u) for v in t.vertices() for u in t.neighbors(v) if configuration_case(tr, v, u)]
+        configs = configurations(tr)
         for v in sorted({v for v, _ in configs}):
             yield OpStep(4, v, 0)
             yield OpStep(4, v, 1)

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .graphs import Split, Tree, canonical_relabel, longest_x_path, split_at
-from .treedp import two_neighbourhood
+from .treedp import _rooted, two_neighbourhood
 
 # Vertex colors for canonical forms: outside both sets, in Y only, in X
 # (membership in X forces membership in Y, so three colors suffice).
@@ -215,6 +215,41 @@ def configuration_case(tr: Triple, v: int, u: int) -> Optional[str]:
     """
     loc = _locus(tr, v, u)
     return None if loc is None else _classify(tr, loc)[0]
+
+
+def configurations(tr: Triple) -> list[tuple[int, int]]:
+    """Every ``(v, u)`` at which ``configuration_case`` is not ``None``, in
+    order of ``v`` then ``u``, found in one linear pass.
+
+    The counting form of ``_classify``: u and v lie in Y, every other
+    neighbor w of v lies in Y with exactly one Y-vertex in its branch (which,
+    as X <= Y, also gives the ``_locus`` premise), and ell, the number of
+    those w in X, is at least three, or two with u in X.  A branch's Y-count
+    is a subtree count from one rooted traversal, or |Y| minus the count on
+    the other side of the edge.
+    """
+    t, x, y = tr.tree, tr.x, tr.y
+    parent, order = _rooted(t, 0)
+    below = [0] * t.n  # Y-vertices in the subtree of each vertex
+    for w in reversed(order):
+        below[w] += w in y
+        if w != parent[w]:
+            below[parent[w]] += below[w]
+    out = []
+    for v in t.vertices():
+        if v not in y:
+            continue
+        up = len(y) - below[v]  # Y-vertices outside the subtree of v
+        # neighbors that cannot root a branch; one of them can only be u
+        bad = [w for w in t.neighbors(v) if w not in y or (below[w] if parent[w] == v else up) != 1]
+        if len(bad) > 1:
+            continue
+        x_neighbors = sum(w in x for w in t.neighbors(v))
+        for u in bad or t.neighbors(v):
+            ell = x_neighbors - (u in x)
+            if u in y and (ell >= 3 or (ell == 2 and u in x)):
+                out.append((v, u))
+    return out
 
 
 def find_locus(tr: Triple) -> ReductionLocus:

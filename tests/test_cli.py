@@ -191,6 +191,23 @@ class TestVerifyCommand:
         code, (res,) = run_json(capsys, ["verify", str(p)])
         assert code == 1 and res["verified"] is False
 
+    @pytest.mark.parametrize("field", ["failure", "steps"])
+    def test_tampered_negative_recognize_fails(self, capsys, tmp_path, p2_file, field):
+        run(["recognize", p2_file])
+        cert = json.loads(capsys.readouterr().out)
+        trace = cert["result"]["trace"]
+        if field == "failure":
+            trace["terminal"]["failure"] = "anything at all"
+        else:
+            assert trace["steps"] == []
+            trace["steps"].append(
+                {"u": 0, "v": 1, "w": [], "ell": 0, "case": "a", "yPrimeHasU": False, "childCanonical": ""}
+            )
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        code, (res,) = run_json(capsys, ["verify", str(p)])
+        assert code == 1 and res["verified"] is False
+
     def test_tampered_input_fails_digest(self, capsys, tmp_path, star_file):
         run(["recognize", star_file])
         cert = json.loads(capsys.readouterr().out)

@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from strongroman.graphs import Tree
 from strongroman.generator import (
     GrowthRetryError,
+    OperationNotApplicable,
     OpStep,
     apply_op,
     applicable_steps,
@@ -170,6 +174,22 @@ class TestRandomMember:
             tr, _ = random_member(2, seed=seed)
             assert tr.x == frozenset()
 
+    @pytest.mark.parametrize(
+        "n,seed,digest",
+        [
+            (40, 0, "b44bcf042b284442408480551758298111b67b36d1fce94839ba8e841d075bdd"),
+            (80, 0, "909ea21c850f4fddd59c95ed40eee5c485c42b537d4650a76f23949fe0c60e8f"),
+            (160, 0, "b71ea319c4322dfaefc5dbb1c92b30391156aa323dcde9fe216119d6a7733e7d"),
+            (120, 5, "d08be9ec8cdd6b0211f0a48d2ae74122bf27715ec37cce324efb8adb7838ff98"),
+        ],
+    )
+    def test_pinned_step_lists(self, n, seed, digest):
+        # seeded growth picks from the applicable steps in yield order, so a
+        # change of that order or of any anchor set changes these digests
+        _, steps = random_member(n, seed)
+        text = json.dumps([s.to_json_dict() for s in steps], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_retry_budget_error(self):
         with pytest.raises(GrowthRetryError):
             random_member(5, seed=0, max_retries=0)
@@ -182,3 +202,17 @@ def test_applicable_steps_respect_budget():
     steps = list(applicable_steps(EMPTY, 2))
     assert {s.op for s in steps} == {1}
     assert list(applicable_steps(FULL, 10)) == []  # the constrained seed is inert
+
+
+def test_apply_op_accepts_exactly_the_yielded_anchors():
+    for tr in enumerate_T(7).values():
+        for op in (4, 5):
+            yielded = {s.anchor for s in applicable_steps(tr, tr.n + 1) if s.op == op}
+            accepted = set()
+            for a in tr.tree.vertices():
+                try:
+                    apply_op(tr, OpStep(op, a))
+                except OperationNotApplicable:
+                    continue
+                accepted.add(a)
+            assert accepted == yielded

@@ -13,6 +13,7 @@ from strongroman.recognizer import (
     _child_triple,
     _classify,
     configuration_case,
+    configurations,
     decide_in_S,
     find_locus,
     triple_for_tree,
@@ -20,7 +21,7 @@ from strongroman.recognizer import (
 )
 from strongroman.solver import solve_report
 
-from conftest import subsets, trees_of_order
+from conftest import prufer_tree, subsets, trees_of_order
 
 K1 = Tree(1, ())
 P4 = Tree(4, [(0, 1), (1, 2), (2, 3)])
@@ -287,14 +288,43 @@ def test_configuration_case_examples():
     assert configuration_case(big, 0, 1) == "b"
 
 
+def _reference_configurations(tr):
+    return [(v, u) for v in tr.tree.vertices() for u in tr.tree.neighbors(v) if configuration_case(tr, v, u)]
+
+
+def test_configurations_match_configuration_case(closure10):
+    from strongroman.generator import random_member
+
+    triples = list(closure10.values())
+    rng = random.Random(4)
+    for i in range(2400):
+        n = rng.randint(1, 14)
+        # every sixth tree is a star, whose centre can have no bad neighbor
+        t = Tree(n, [(0, j) for j in range(1, n)]) if i % 6 == 0 else prufer_tree(n, rng)
+        y = frozenset(v for v in range(n) if rng.random() < 0.8)
+        triples.append(Triple(t, frozenset(v for v in y if rng.random() < 0.6), y))
+    for n in range(5, 91, 5):
+        for seed in range(2):
+            tr, _ = random_member(n, seed)
+            triples.append(tr)
+            if tr.y - tr.x:
+                triples.append(Triple(tr.tree, tr.x, tr.y - {min(tr.y - tr.x)}))
+    found = 0
+    for tr in triples:
+        expected = _reference_configurations(tr)
+        assert configurations(tr) == expected
+        found += bool(expected)
+    assert found > 1000  # the comparison is not vacuous
+
+
 def test_scales_beyond_the_oracle_cap():
     from strongroman.generator import random_member, replay
 
     for seed in range(3):
-        tr, steps = random_member(40, seed=seed)
+        tr, steps = random_member(320, seed=seed)
         ok, trace = decide_in_S(tr)
         assert ok and verify_trace(tr, trace)
-        assert replay(steps).canonical_key == tr.canonical_key
+        assert replay(steps) == tr
     path = triple_for_tree(Tree(120, [(i, i + 1) for i in range(119)]))
     ok, _ = decide_in_S(path)
     assert not ok
