@@ -180,11 +180,17 @@ def _cmd_gadget(args) -> int:
 def _recheck_recognize(cert: dict) -> bool:
     """Replay a positive trace; rebuild a negative result and compare it whole,
     since a rejection trace is not a derivation ``verify_trace`` can replay.
+    Either way the result must serialize exactly as the one rebuilt from it,
+    so an extra key or a retyped value (``1`` for ``true``) fails.
     """
-    if not cert["result"]["strongly_equal"]:
-        return _recognize_result(cert["input"])[0] == cert["result"]
+    result = cert["result"]
+    if not result["strongly_equal"]:
+        return _dump(_recognize_result(cert["input"])[0]) == _dump(result)
+    trace = ReductionTrace.from_json_dict(result["trace"])
+    if _dump({"strongly_equal": True, "trace": trace.to_json_dict()}) != _dump(result):
+        return False
     triple = triple_for_tree(Tree.from_graph(parse_edge_list(cert["input"]["graph"])))
-    return verify_trace(triple, ReductionTrace.from_json_dict(cert["result"]["trace"]))
+    return verify_trace(triple, trace)
 
 
 def _recheck_generate(cert: dict) -> bool:

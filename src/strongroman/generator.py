@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graphs import Tree
+from .graphs import Tree, canonical_relabel
 from .recognizer import Triple, configurations
 from .solver import SizeCapError
 
@@ -176,11 +176,11 @@ def enumerate_T(n_max: int, *, cap: int = ENUMERATION_ORDER_CAP) -> dict[str, Tr
     while queue:
         tr = queue.popleft()
         for step in applicable_steps(tr, n_max):
-            child, _ = apply_op(tr, step).canonicalized()
-            key = child.canonical_key
+            child = apply_op(tr, step)
+            key, mapping = canonical_relabel(child.tree, child.colors())
             if key not in members:
-                members[key] = child
-                queue.append(child)
+                members[key] = canon = child.relabelled(key, mapping)
+                queue.append(canon)
     return members
 
 

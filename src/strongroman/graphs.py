@@ -35,11 +35,34 @@ class NotATreeError(ValueError):
     pass
 
 
+def _raise_first_bad_edge(n: int, edges: list) -> None:
+    """Check the edges one by one and raise for the first bad one in input order.
+
+    Each edge that passes is also added to a per-vertex list, as a one-pass
+    build would, so an endpoint that is no list index fails at its own edge.
+    """
+    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise VertexRangeError(f"edge ({a},{b}) leaves the vertex range 0..{n - 1}")
+        if a == b:
+            raise SelfLoopError(f"self-loop at vertex {a}")
+        e = (a, b) if a < b else (b, a)
+        if e in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
+        seen.add(e)
+        adj[a].append(b)
+        adj[b].append(a)
+
+
 class Graph:
     """A finite simple undirected graph on vertices ``0 .. n-1``.
 
     Instances are immutable after construction and safe to share between
-    concurrent tasks.  Equality and hashing ignore labels.
+    concurrent tasks.  Equality and hashing ignore labels.  Construction
+    sorts the edges once and validates them in one linear pass;
+    ``Tree.from_graph`` checks the tree property without rebuilding.
     """
 
     __slots__ = ("n", "edges", "labels", "_adj", "_edge_set", "_masks")
@@ -52,22 +75,22 @@ class Graph:
     ):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        norm: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
+        edges = list(edges)
+        try:
+            norm = sorted([(a, b) if a < b else (b, a) for a, b in edges])
+            edge_set = frozenset(norm)
+            valid = len(edge_set) == len(norm) and all(0 <= a < b < n for a, b in norm)
+        except (TypeError, ValueError):
+            _raise_first_bad_edge(n, edges)
+            raise
+        if not valid:
+            _raise_first_bad_edge(n, edges)
+        # ``norm`` is sorted, so each vertex meets its smaller neighbours (as
+        # the second endpoint) before its larger ones: every list is sorted.
         adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise VertexRangeError(f"edge ({a},{b}) leaves the vertex range 0..{n - 1}")
-            if a == b:
-                raise SelfLoopError(f"self-loop at vertex {a}")
-            e = (a, b) if a < b else (b, a)
-            if e in seen:
-                raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
-            norm.append(e)
+        for a, b in norm:
             adj[a].append(b)
             adj[b].append(a)
-        norm.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
         if labels is not None:
@@ -76,8 +99,8 @@ class Graph:
                     raise VertexRangeError(f"label for unknown vertex {v}")
             labels = dict(labels)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "_edge_set", frozenset(norm))
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "_edge_set", edge_set)
         object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name, value):
@@ -136,6 +159,11 @@ def is_tree(g: Graph) -> bool:
     return len(g.edges) == g.n - 1 and _is_connected(g)
 
 
+def _require_tree(g: Graph) -> None:
+    if not is_tree(g):
+        raise NotATreeError(f"graph on {g.n} vertices with {len(g.edges)} edges is not a tree")
+
+
 class Tree(Graph):
     """A graph certified connected and acyclic at construction time."""
 
@@ -143,12 +171,18 @@ class Tree(Graph):
 
     def __init__(self, n, edges=(), labels=None):
         super().__init__(n, edges, labels)
-        if len(self.edges) != self.n - 1 or not _is_connected(self):
-            raise NotATreeError(f"graph on {self.n} vertices with {len(self.edges)} edges is not a tree")
+        _require_tree(self)
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Tree":
-        return cls(g.n, g.edges, g.labels)
+        """``g`` as a tree, sharing its validated immutable structure."""
+        _require_tree(g)
+        t = object.__new__(cls)
+        for name in ("n", "edges", "_adj", "_edge_set"):
+            object.__setattr__(t, name, getattr(g, name))
+        object.__setattr__(t, "labels", None if g.labels is None else dict(g.labels))
+        object.__setattr__(t, "_masks", None)
+        return t
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -158,11 +192,8 @@ def parse_edge_list(text: str) -> Graph:
     edges with ``0 <= a, b < n`` and ``a != b``.  Blank lines and lines
     starting with ``#`` are skipped.
     """
-    lines = [
-        (i + 1, s.strip())
-        for i, s in enumerate(text.splitlines())
-        if s.strip() and not s.lstrip().startswith("#")
-    ]
+    stripped = (s.strip() for s in text.splitlines())
+    lines = [(i, s) for i, s in enumerate(stripped, 1) if s and s[0] != "#"]
     if not lines:
         raise MalformedLineError("empty input, expected a header line 'n m'")
     lineno, header = lines[0]

@@ -76,14 +76,19 @@ class Triple:
     def canonicalized(self) -> tuple["Triple", dict[int, int]]:
         """Canonically relabelled copy plus the old-to-new vertex map."""
         key, mapping = canonical_relabel(self.tree, self.colors())
-        edges = sorted((min(mapping[a], mapping[b]), max(mapping[a], mapping[b])) for a, b in self.tree.edges)
+        return self.relabelled(key, mapping), mapping
+
+    def relabelled(self, key: str, mapping: dict[int, int]) -> "Triple":
+        """The copy under ``mapping``, a relabelling that realizes the
+        canonical form ``key`` (both as ``canonical_relabel`` returns them).
+        """
         out = Triple(
-            Tree(self.n, edges),
+            Tree(self.n, [(mapping[a], mapping[b]) for a, b in self.tree.edges]),
             frozenset(mapping[v] for v in self.x),
             frozenset(mapping[v] for v in self.y),
         )
         object.__setattr__(out, "canonical_key", key)
-        return out, mapping
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,9 +50,16 @@ def _combine(any_sum, no2_sum, pen, constrained: bool) -> tuple:
     """A vertex's terms from the summed terms of its branches below and their
     least penalty.  At the root, the second term is the tree's minimum weight.
     """
-    s2, s1, s0d, s0u = 2 + any_sum, 1 + no2_sum, no2_sum + pen, no2_sum
-    any_parent = min(s2, s1, s0d, s0u)
-    no2_parent = min(s2, s1, s0d) if constrained else any_parent
+    # States 2, 1, 0 with a 2-child and 0 unclaimed weigh 2 + any_sum,
+    # 1 + no2_sum, no2_sum + pen and no2_sum.
+    s2 = 2 + any_sum
+    claimed = 1 + no2_sum
+    if s2 < claimed:
+        claimed = s2
+    if no2_sum + pen < claimed:
+        claimed = no2_sum + pen
+    any_parent = no2_sum if no2_sum < claimed else claimed
+    no2_parent = claimed if constrained else any_parent
     return any_parent, no2_parent, s2 - no2_parent
 
 

@@ -208,6 +208,43 @@ class TestVerifyCommand:
         code, (res,) = run_json(capsys, ["verify", str(p)])
         assert code == 1 and res["verified"] is False
 
+    @pytest.mark.parametrize(
+        "edit",
+        ["result key", "strongly_equal 1", "trace key", "step u string", "step u float", "step w float"],
+    )
+    def test_tampered_positive_recognize_fails(self, capsys, tmp_path, star_file, edit):
+        # each edit still replays: only comparing the result whole catches it
+        assert run(["recognize", star_file]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        result = cert["result"]
+        step = result["trace"]["steps"][0]
+        assert step["u"] == 2 and step["w"] == [1, 3]
+        if edit == "result key":
+            result["note"] = "extra"
+        elif edit == "strongly_equal 1":
+            result["strongly_equal"] = 1
+        elif edit == "trace key":
+            result["trace"]["note"] = "extra"
+        elif edit == "step u string":
+            step["u"] = "2"
+        elif edit == "step u float":
+            step["u"] = 2.0
+        else:
+            step["w"] = [1.0, 3]
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        code, (res,) = run_json(capsys, ["verify", str(p)])
+        assert code == 1 and res == {"kind": "recognize", "verified": False, "detail": "result mismatch"}
+
+    def test_negative_recognize_with_numeric_verdict_fails(self, capsys, tmp_path, p2_file):
+        assert run(["recognize", p2_file]) == 1
+        cert = json.loads(capsys.readouterr().out)
+        cert["result"]["strongly_equal"] = 0
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        code, (res,) = run_json(capsys, ["verify", str(p)])
+        assert code == 1 and res["verified"] is False
+
     def test_tampered_input_fails_digest(self, capsys, tmp_path, star_file):
         run(["recognize", star_file])
         cert = json.loads(capsys.readouterr().out)

@@ -97,6 +97,125 @@ class TestTreeBasics:
         assert "0 -- 1;" in dot and 'label="a"' in dot
 
 
+def reference_graph(n, edges, labels=None):
+    """The per-edge construction loop that bulk validation replaced: edges and
+    adjacency of a valid input, or the first error in input order.
+    """
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    norm, seen = [], set()
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise VertexRangeError(f"edge ({a},{b}) leaves the vertex range 0..{n - 1}")
+        if a == b:
+            raise SelfLoopError(f"self-loop at vertex {a}")
+        e = (a, b) if a < b else (b, a)
+        if e in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
+        seen.add(e)
+        norm.append(e)
+        adj[a].append(b)
+        adj[b].append(a)
+    norm.sort()
+    if labels is not None:
+        for v in labels:
+            if not (0 <= v < n):
+                raise VertexRangeError(f"label for unknown vertex {v}")
+    return tuple(norm), tuple(tuple(sorted(a)) for a in adj)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def random_edge_list(rng):
+    """A random tree or edge list on n <= 12 with several bad edges mixed in;
+    endpoints are drawn from -1..n, and now and then one is not an integer.
+    """
+    n = rng.randint(1, 12)
+    if rng.random() < 0.4:
+        edges = list(prufer_tree(n, rng).edges)
+    else:
+        edges = [(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 2 * n))]
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        bad = rng.choice(((rng.randint(-1, n), rng.randint(-1, n)), (n, 0), (0, 0), (-1, 1)))
+        if edges and rng.random() < 0.4:
+            bad = edges[rng.randrange(len(edges))][::-1]  # a duplicate
+        edges.insert(rng.randrange(len(edges) + 1), bad)
+    edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in edges]
+    if edges and rng.random() < 0.05:
+        k = rng.randrange(len(edges))
+        edges[k] = (rng.choice((0.0, 1.5, "1", None)), edges[k][1])
+    labels = None
+    if rng.random() < 0.3:
+        labels = {v: f"v{v}" for v in range(-1, n + 1) if rng.random() < 0.3}
+    return n, edges, labels
+
+
+class TestConstruction:
+    def test_bulk_validation_matches_per_edge_loop(self):
+        rng = random.Random(2024)
+        valid = 0
+        for _ in range(3000):
+            n, edges, labels = random_edge_list(rng)
+            expected = outcome(reference_graph, n, edges, labels)
+            got = outcome(Graph, n, iter(edges), labels)
+            if isinstance(got, Graph):
+                valid += 1
+                ref_edges, ref_adj = expected
+                assert got.edges == ref_edges
+                assert all(got.neighbors(v) == ref_adj[v] for v in range(n))
+                assert all(
+                    got.has_edge(a, b) == ((min(a, b), max(a, b)) in ref_edges)
+                    for a in range(n)
+                    for b in range(n)
+                )
+                assert got.labels == labels
+            else:
+                assert got == expected, (n, edges)
+        assert valid >= 500
+
+    def test_from_graph_matches_constructor(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(1, 15)
+            edges = list(prufer_tree(n, rng).edges)
+            rng.shuffle(edges)
+            labels = {v: f"v{v}" for v in range(n) if rng.random() < 0.5} if rng.random() < 0.5 else None
+            t = Tree.from_graph(Graph(n, edges, labels))
+            ref = Tree(n, edges, labels)
+            assert type(t) is Tree and t == ref and t.labels == ref.labels
+            assert all(t.neighbors(v) == ref.neighbors(v) for v in range(n))
+            assert all(t.has_edge(a, b) == ref.has_edge(a, b) for a in range(n) for b in range(n))
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (3, [(0, 1)]),  # forest
+            (4, [(0, 1), (2, 3)]),  # forest, n - 2 edges
+            (3, [(0, 1), (1, 2), (0, 2)]),  # cycle
+            (5, [(0, 1), (1, 2), (2, 0), (3, 4)]),  # cycle plus an edge, n - 1 edges
+        ],
+    )
+    def test_from_graph_rejects_like_constructor(self, n, edges):
+        with pytest.raises(NotATreeError) as ref:
+            Tree(n, edges)
+        with pytest.raises(NotATreeError) as got:
+            Tree.from_graph(Graph(n, edges))
+        assert str(got.value) == str(ref.value)
+
+    def test_from_graph_copies_labels(self):
+        g = Graph(3, [(0, 1), (1, 2)], labels={0: "a"})
+        t = Tree.from_graph(g)
+        g.labels[0] = "changed"
+        g.labels[2] = "new"
+        assert t.labels == {0: "a"}
+
+
 class TestSplitAt:
     def test_path(self):
         sp = split_at(P4, 1, 2)

@@ -65,6 +65,33 @@ def test_large_tree_smoke():
     assert elapsed < 10.0
 
 
+def relabelled(n, edges, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Tree(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+@pytest.mark.parametrize(
+    "n, edges, expected",
+    [
+        (10_000, [(i, i + 1) for i in range(9_999)], -(-2 * 10_000 // 3)),  # P_n
+        (10_000, [(0, i) for i in range(1, 10_000)], 2),  # K_{1,n-1}
+        # C_k with k = 2500: a spine of k vertices with three leaves on each
+        (
+            10_000,
+            [(i, i + 1) for i in range(2_499)]
+            + [(i, 2_500 + 3 * i + j) for i in range(2_500) for j in range(3)],
+            5_000,
+        ),
+    ],
+    ids=["path", "star", "caterpillar"],
+)
+def test_closed_forms_at_ten_thousand(n, edges, expected):
+    t = relabelled(n, edges, seed=11)
+    assert gamma_R_tree(t, range(n)) == expected
+    assert gamma_R_tree(t, range(n), root=n - 1) == expected
+
+
 def naive_forced_two_weights(t: Tree, x) -> list:
     best = [None] * t.n
     for vals in itertools.product((0, 1, 2), repeat=t.n):
