@@ -26,7 +26,7 @@ from .recognizer import ReductionTrace, Triple, decide_in_S, triple_for_tree, ve
 from .solver import solve_report
 from .treedp import gamma_R_tree
 
-CERTIFICATE_VERSION = 1
+CERTIFICATE_VERSION = 2
 
 
 def _dump(obj) -> str:
@@ -177,17 +177,22 @@ def _cmd_gadget(args) -> int:
     return 0
 
 
+def _same(rebuilt: dict, result: dict) -> bool:
+    """Whether two results serialize alike, so that an extra key or a retyped
+    value (``1`` for ``true``, ``2.0`` for ``2``) counts as a difference."""
+    return _dump(rebuilt) == _dump(result)
+
+
 def _recheck_recognize(cert: dict) -> bool:
     """Replay a positive trace; rebuild a negative result and compare it whole,
     since a rejection trace is not a derivation ``verify_trace`` can replay.
-    Either way the result must serialize exactly as the one rebuilt from it,
-    so an extra key or a retyped value (``1`` for ``true``) fails.
+    Either way the result must serialize exactly as the one rebuilt from it.
     """
     result = cert["result"]
     if not result["strongly_equal"]:
-        return _dump(_recognize_result(cert["input"])[0]) == _dump(result)
+        return _same(_recognize_result(cert["input"])[0], result)
     trace = ReductionTrace.from_json_dict(result["trace"])
-    if _dump({"strongly_equal": True, "trace": trace.to_json_dict()}) != _dump(result):
+    if not _same({"strongly_equal": True, "trace": trace.to_json_dict()}, result):
         return False
     triple = triple_for_tree(Tree.from_graph(parse_edge_list(cert["input"]["graph"])))
     return verify_trace(triple, trace)
@@ -197,14 +202,14 @@ def _recheck_generate(cert: dict) -> bool:
     result = cert["result"]
     steps = [OpStep.from_json_dict(s) for s in result["steps"]]
     base = _triple_from_json(result["base"])
-    return _generate_result(base, steps, replay(steps, base)) == result
+    return _same(_generate_result(base, steps, replay(steps, base)), result)
 
 
 _RECHECKERS = {
-    "solve": lambda cert: _solve_result(cert["input"])[0] == cert["result"],
+    "solve": lambda cert: _same(_solve_result(cert["input"])[0], cert["result"]),
     "recognize": _recheck_recognize,
     "generate": _recheck_generate,
-    "gadget": lambda cert: _gadget_result(cert["input"])[0] == cert["result"],
+    "gadget": lambda cert: _same(_gadget_result(cert["input"])[0], cert["result"]),
 }
 
 
@@ -215,6 +220,9 @@ def _cmd_verify(args) -> int:
     rechecker = _RECHECKERS.get(kind)
     if rechecker is None:
         raise ValueError(f"unknown certificate kind {kind!r}")
+    if cert.get("certificate_version") != CERTIFICATE_VERSION:
+        _emit({"kind": kind, "verified": False, "detail": f"certificate_version is not {CERTIFICATE_VERSION}"})
+        return 1
     if cert.get("digest") != _digest(cert.get("input", {})):
         _emit({"kind": kind, "verified": False, "detail": "input digest mismatch"})
         return 1

@@ -4,28 +4,41 @@ A triple bundles a tree with the constrained set X and the certificate set Y.
 Membership is decided by repeatedly cutting away the far end of a longest
 X-path: the cut configuration either fails one of a fixed list of structural
 conditions (reject) or leaves a smaller triple whose membership is
-equivalent.  In the three-or-more-branch pattern the reduced Y' may or may
-not keep the path vertex u; the chain keeps the candidate whose Y' equals
-Y*(T', X'), the vertices that see a 2 under some minimum Roman function
-(``treedp.two_neighbourhood``), since a member's Y is exactly that set.  The
-decision is thus one chain of linear-time steps, and every decision comes
-with a replayable trace.
+equivalent.
+
+The whole chain is one linear pass.  The tree is rooted once at r, the
+X-vertex farthest from the smallest X-vertex.  In a tree the X-vertex
+farthest from any vertex ends a longest X-path, and a cut removes only v and
+the branches below it, so r and every depth survive each step: the deepest
+remaining X-vertex w always gives the next cut, with v its parent and u the
+parent of v, or, when no X-vertex lies outside v's subtree, u another
+X-child of v (that step is always the last).  Deleted vertices are only
+marked, and each branch is walked once, counting its Y-vertices.
+
+In the three-or-more-branch pattern the reduced Y' may or may not keep u.
+Both candidates have the same tree and X, hence the same later cuts, and
+every later condition reads u's Y bit as "must lie in Y" or "must not".  So
+the bit stays open until its first read, which fixes it to the value asked
+for: the other candidate fails at exactly that read.  No Y* (and no rerooted
+tree DP) is needed, and every decision comes with a replayable trace.
 
 Trace coordinates: ``decide_in_S`` relabels the input triple canonically
-before working, and every child triple is canonically relabelled as well, so
-steps are expressed in canonical labels at each level.  ``verify_trace``
-repeats the same deterministic relabelling, which makes traces portable
-between runs and across isomorphic inputs.
+once and records every step in those labels; the kept part of the tree keeps
+them, so no reduced triple is relabelled.  ``verify_trace`` repeats the
+relabelling and replays the steps in O(n), which makes traces portable
+between runs and across isomorphic inputs.  A rejection records its reason,
+the number of steps before it and, when a cut failed, that cut's (v, u).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional
 
 from .graphs import Split, Tree, canonical_relabel, longest_x_path, split_at
-from .treedp import _rooted, two_neighbourhood
+from .treedp import _rooted
 
 # Vertex colors for canonical forms: outside both sets, in Y only, in X
 # (membership in X forces membership in Y, so three colors suffice).
@@ -117,7 +130,6 @@ class TraceStep:
     ell: int
     case: str  # "a" or "b"
     y_prime_has_u: bool
-    child_canonical: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,7 +139,6 @@ class TraceStep:
             "ell": self.ell,
             "case": self.case,
             "yPrimeHasU": self.y_prime_has_u,
-            "childCanonical": self.child_canonical,
         }
 
     @classmethod
@@ -139,7 +150,6 @@ class TraceStep:
             ell=int(d["ell"]),
             case=str(d["case"]),
             y_prime_has_u=bool(d["yPrimeHasU"]),
-            child_canonical=str(d["childCanonical"]),
         )
 
 
@@ -149,27 +159,44 @@ BASE_K1_FULL = "k1-full"
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Chain of reduction steps ending in a base case, or a failure reason."""
+    """Chain of reduction steps ending in a base case, or a failure reason.
+
+    A rejection keeps no steps.  It records how many steps preceded the
+    failure (``depth``) and, when a cut failed rather than a base case, the
+    cut's ``(v, u)`` (``locus``).
+    """
 
     steps: tuple[TraceStep, ...]
     base: Optional[str]
     failure: Optional[str]
+    depth: int = 0
+    locus: Optional[tuple[int, int]] = None
 
     @property
     def accepted(self) -> bool:
         return self.base is not None
 
     def to_json_dict(self) -> dict:
-        terminal = {"base": self.base} if self.accepted else {"failure": self.failure}
+        if self.accepted:
+            terminal = {"base": self.base}
+        else:
+            terminal = {"failure": self.failure, "step": self.depth}
+            if self.locus is not None:
+                terminal["v"], terminal["u"] = self.locus
         return {"steps": [s.to_json_dict() for s in self.steps], "terminal": terminal}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ReductionTrace":
         steps = tuple(TraceStep.from_json_dict(s) for s in d.get("steps", ()))
         terminal = d.get("terminal", {})
-        base = terminal.get("base")
-        failure = terminal.get("failure")
-        return cls(steps=steps, base=base, failure=failure)
+        locus = (int(terminal["v"]), int(terminal["u"])) if "v" in terminal else None
+        return cls(
+            steps=steps,
+            base=terminal.get("base"),
+            failure=terminal.get("failure"),
+            depth=int(terminal.get("step", 0)),
+            locus=locus,
+        )
 
 
 def _locus(tr: Triple, v: int, u: int) -> Optional[ReductionLocus]:
@@ -195,31 +222,131 @@ def _locus(tr: Triple, v: int, u: int) -> Optional[ReductionLocus]:
     )
 
 
-def _classify(tr: Triple, loc: ReductionLocus) -> tuple[Optional[str], Optional[str]]:
-    """``(case, None)`` when the locus admits a reduced triple, with case
-    ``"a"`` (two X-meeting branches) or ``"b"`` (three or more); otherwise
+def _classify(
+    ell: int, u_in_x: bool, uv_in_y: bool, branches: Iterable[tuple[int, bool, int]]
+) -> tuple[Optional[str], Optional[str]]:
+    """``(case, None)`` when a cut admits a reduced triple, with case ``"a"``
+    (two X-meeting branches) or ``"b"`` (three or more); otherwise
     ``(None, reason)`` for the first condition that fails.
+
+    The facts: ``ell`` X-meeting branches, whether u lies in X, whether u and
+    v both lie in Y, and per branch in order ``(w, w in Y, Y-vertices of the
+    branch below w)``.
     """
-    if loc.ell == 0:
+    if ell == 0:
         return None, "no branch meets X"
-    if loc.ell == 1:
+    if ell == 1:
         return None, "a single branch meets X (need at least two)"
-    if loc.ell == 2 and loc.u not in tr.x:
+    if ell == 2 and not u_in_x:
         return None, "two branches meet X but the path vertex u is not in X"
-    if loc.u not in tr.y or loc.v not in tr.y:
+    if not uv_in_y:
         return None, "u and v must both lie in Y"
-    for w, wset in zip(loc.ws, loc.w_sets):
-        if wset & tr.y != {w}:
+    for w, w_in_y, below in branches:
+        if not w_in_y or below:
             return None, f"branch at {w} must meet Y exactly in its root"
-    return ("a" if loc.ell == 2 else "b"), None
+    return ("a" if ell == 2 else "b"), None
+
+
+_OPEN = 2  # a Y bit left open by a case-"b" step until its first read
+
+
+class _Chain:
+    """A triple under a chain of reductions, kept in its own labels.
+
+    A cut at ``(v, u)`` marks ``v`` and its branches away from ``u`` deleted,
+    then takes ``u`` out of X and gives it the Y bit of the reduced triple,
+    which a case-"b" step leaves open (``_OPEN``).  ``fixed`` holds, per
+    step, the value that step's bit was fixed to (``None`` while open).
+    """
+
+    def __init__(self, tr: Triple):
+        t = tr.tree
+        self.adj = [t.neighbors(a) for a in t.vertices()]
+        self.alive = bytearray(b"\x01") * t.n
+        self.x = bytearray(t.n)
+        self.y = bytearray(t.n)
+        for a in tr.x:
+            self.x[a] = 1
+        for a in tr.y:
+            self.y[a] = 1
+        self.x_count = len(tr.x)
+        self.opened: dict[int, int] = {}  # vertex with an open bit -> its step
+        self.fixed: list[Optional[bool]] = []
+
+    def read_y(self, a: int, want: int) -> bool:
+        """Whether a's Y bit is ``want``; an open bit is fixed to ``want``."""
+        bit = self.y[a]
+        if bit == _OPEN:
+            self.y[a] = want
+            self.fixed[self.opened.pop(a)] = bool(want)
+            return True
+        return bit == want
+
+    def cut(self, v: int, u: int) -> Optional[tuple[list[int], int, Optional[str], Optional[str]]]:
+        """Delete ``v`` and its branches away from ``u``, and classify the cut.
+
+        Returns ``(ws, ell, case, failure)``, with the X-meeting branch roots
+        first in ``ws`` (each group by label), or ``None`` when a branch holds
+        an X-vertex below its root.  Y bits are read in the order
+        ``_classify`` tests them.
+        """
+        alive, adj, x = self.alive, self.adj, self.x
+        alive[v] = 0
+        roots = [w for w in adj[v] if alive[w] and w != u]
+        ws = [w for w in roots if x[w]]
+        ell = len(ws)
+        ws += [w for w in roots if not x[w]]
+        uv_in_y = self.read_y(u, 1) and self.read_y(v, 1)
+        branches = []
+        for w in ws:
+            alive[w] = 0
+            w_in_y = self.read_y(w, 1)
+            below = 0
+            todo = [w]
+            for a in todo:
+                for b in adj[a]:
+                    if alive[b]:
+                        if x[b]:
+                            return None
+                        alive[b] = 0
+                        below += not self.read_y(b, 0)
+                        todo.append(b)
+            branches.append((w, w_in_y, below))
+        self.x_count -= x[v] + ell
+        case, failure = _classify(ell, x[u], uv_in_y, branches)
+        return ws, ell, case, failure
+
+    def settle(self, u: int, bit: int) -> None:
+        """Take the kept path vertex ``u`` out of X and set its Y bit, which
+        ``_OPEN`` leaves for a later read to fix; this ends a step."""
+        self.x_count -= self.x[u]
+        self.x[u] = 0
+        self.y[u] = bit
+        if bit == _OPEN:
+            self.opened[u] = len(self.fixed)
+        self.fixed.append(None if bit == _OPEN else bool(bit))
+
+    def base(self) -> tuple[bool, str]:
+        """(verdict, base marker or failure reason) once |X| <= 2."""
+        if self.x_count == 0:
+            if all(self.read_y(a, 0) for a in compress(range(len(self.alive)), self.alive)):
+                return True, BASE_X_EMPTY
+            return False, "Y must be empty when X is empty"
+        if self.x_count == 1:
+            if self.alive.count(1) == 1 and self.read_y(self.alive.index(1), 1):
+                return True, BASE_K1_FULL
+            return False, "a single constrained vertex only works on the one-vertex tree"
+        return False, "exactly two constrained vertices never occur in the class"
 
 
 def configuration_case(tr: Triple, v: int, u: int) -> Optional[str]:
     """``"a"``/``"b"`` when ``(v, u)`` forms a valid reduction configuration
     whose structural side conditions hold, else ``None``.
     """
-    loc = _locus(tr, v, u)
-    return None if loc is None else _classify(tr, loc)[0]
+    if not tr.tree.has_edge(v, u):
+        raise ValueError(f"({v},{u}) is not an edge")
+    found = _Chain(tr).cut(v, u)
+    return None if found is None else found[2]
 
 
 def configurations(tr: Triple) -> list[tuple[int, int]]:
@@ -228,7 +355,7 @@ def configurations(tr: Triple) -> list[tuple[int, int]]:
 
     The counting form of ``_classify``: u and v lie in Y, every other
     neighbor w of v lies in Y with exactly one Y-vertex in its branch (which,
-    as X <= Y, also gives the ``_locus`` premise), and ell, the number of
+    as X <= Y, also gives the configuration premise), and ell, the number of
     those w in X, is at least three, or two with u in X.  A branch's Y-count
     is a subtree count from one rooted traversal, or |Y| minus the count on
     the other side of the edge.
@@ -258,12 +385,11 @@ def configurations(tr: Triple) -> list[tuple[int, int]]:
 
 
 def find_locus(tr: Triple) -> ReductionLocus:
-    """Locate the reduction configuration at the far end of a longest X-path.
+    """Locate the reduction configuration at the far end of the
+    lexicographically smallest longest X-path.
 
-    Requires at least three constrained vertices.  The longest-path choice
-    guarantees that no branch hides a constrained vertex below its root and
-    that the path's endpoint is the first branch root; both are re-checked
-    defensively.
+    The decider finds its cuts without it; the reference chain in the tests
+    still uses it.  Requires at least three constrained vertices.
     """
     if len(tr.x) < 3:
         raise ValueError("locus search needs at least three constrained vertices")
@@ -274,80 +400,48 @@ def find_locus(tr: Triple) -> ReductionLocus:
     return loc
 
 
-def _child_triple(tr: Triple, loc: ReductionLocus, with_u: bool) -> Triple:
-    """The reduced triple on the kept component, in its own labelling."""
-    to_prime = loc.split.to_prime
-    x_new = frozenset(to_prime[a] for a in tr.x if a in to_prime and a != loc.u)
-    y_new = set(to_prime[a] for a in tr.y if a in to_prime and a != loc.u)
-    if with_u:
-        y_new.add(to_prime[loc.u])
-    return Triple(loc.split.t_prime, x_new, frozenset(y_new))
-
-
-def _base_case(tr: Triple):
-    """(verdict, base marker or failure reason) for triples with |X| <= 2."""
-    if not tr.x:
-        if tr.y:
-            return False, "Y must be empty when X is empty"
-        return True, BASE_X_EMPTY
-    if len(tr.x) == 1:
-        if tr.n == 1 and len(tr.y) == 1:
-            return True, BASE_K1_FULL
-        return False, "a single constrained vertex only works on the one-vertex tree"
-    return False, "exactly two constrained vertices never occur in the class"
-
-
-def _rejection(depth: int, reason: str) -> ReductionTrace:
-    """A rejection whose text wraps ``reason`` once per step taken before it."""
-    for _ in range(depth):
-        reason = f"no reduced triple is accepted ({reason})"
-    return ReductionTrace((), None, reason)
-
-
 def _decide(tr: Triple) -> tuple[bool, ReductionTrace]:
-    """Follow the reduction chain from the canonical triple ``tr``.
+    """Follow the reduction chain on ``tr``, in its labels, in O(n).
 
-    In the three-or-more pattern the two candidates differ only at u, and a
-    member's Y' is ``two_neighbourhood(T', X')``, so that set picks the one
-    candidate that can be a member.  The identity fails for the constrained
-    one-vertex seed, so a child with |X'| <= 2 keeps the candidate without u:
-    no base case accepts the one with u.
+    Each cut is taken at the deepest live X-vertex (see the module
+    docstring); a case-"b" step leaves u's Y bit open until its first read.
     """
-    steps: list[TraceStep] = []
-    while len(tr.x) > 2:
-        loc = find_locus(tr)
-        case, failure = _classify(tr, loc)
+    chain = _Chain(tr)
+    alive, x, adj = chain.alive, chain.x, chain.adj
+    steps: list[tuple[int, int, list[int], int, str]] = []
+    if chain.x_count > 2:
+        # A breadth-first order lists vertices by depth, so its last X-vertex
+        # is a farthest one, and its last live X-vertex a deepest one.
+        _, order = _rooted(tr.tree, min(tr.x))
+        parent, order = _rooted(tr.tree, next(a for a in reversed(order) if x[a]))
+        todo = [a for a in order if x[a]]
+    while chain.x_count > 2:
+        while not (alive[todo[-1]] and x[todo[-1]]):
+            todo.pop()
+        w = todo[-1]
+        v = parent[w]
+        kids = [c for c in adj[v] if alive[c] and c != parent[v]]
+        if x[v] + sum(x[c] for c in kids) == chain.x_count:
+            # no X-vertex outside v's subtree: the longest X-path is w-v-u
+            u = min(c for c in kids if x[c] and c != w)
+        else:
+            u = parent[v]
+        found = chain.cut(v, u)
+        if found is None:
+            raise InternalInconsistencyError("deepest-first cut breaks the configuration premise")
+        ws, ell, case, failure = found
         if failure is not None:
-            return False, _rejection(len(steps), failure)
-        child = _child_triple(tr, loc, False)
-        if not len(child.x) < len(tr.x):
-            raise InternalInconsistencyError("reduction did not shrink X")
-        has_u = False
-        if case == "b" and len(child.x) > 2:
-            u_prime = loc.split.to_prime[loc.u]
-            y_star = two_neighbourhood(child.tree, child.x)
-            if y_star - {u_prime} != child.y:
-                reason = "no reduced triple is accepted (neither Y' candidate is Y* of the reduced tree)"
-                return False, _rejection(len(steps), reason)
-            has_u = u_prime in y_star
-            child = Triple(child.tree, child.x, y_star)
-        child_c, _ = child.canonicalized()
-        steps.append(
-            TraceStep(
-                u=loc.u,
-                v=loc.v,
-                ws=loc.ws,
-                ell=loc.ell,
-                case=case,
-                y_prime_has_u=has_u,
-                child_canonical=child_c.canonical_key,
-            )
-        )
-        tr = child_c
-    ok, marker = _base_case(tr)
+            return False, ReductionTrace((), None, failure, len(steps), (v, u))
+        chain.settle(u, _OPEN if case == "b" else 0)
+        steps.append((u, v, ws, ell, case))
+    ok, marker = chain.base()
     if not ok:
-        return False, _rejection(len(steps), marker)
-    return True, ReductionTrace(tuple(steps), marker, None)
+        return False, ReductionTrace((), None, marker, len(steps))
+    trace = tuple(
+        TraceStep(u, v, tuple(ws), ell, case, has_u)
+        for (u, v, ws, ell, case), has_u in zip(steps, chain.fixed)
+    )
+    return True, ReductionTrace(trace, marker, None)
 
 
 def decide_in_S(tr: Triple) -> tuple[bool, ReductionTrace]:
@@ -364,28 +458,30 @@ def verify_trace(tr: Triple, trace: ReductionTrace) -> bool:
     """Re-check a trace as a derivation without re-running any search.
 
     Accepts exactly the traces that chain valid reduction steps from the
-    canonicalized ``tr`` down to a base case.  Rejection traces are not
-    derivations and never verify.
+    canonicalized ``tr`` down to a base case; each step's premise, ``ell``,
+    branch roots and case are checked again as it is replayed, in O(n) in
+    all.  Rejection traces are not derivations and never verify.
     """
     if not trace.accepted:
         return False
     cur, _ = tr.canonicalized()
+    chain = _Chain(cur)
     for step in trace.steps:
-        n = cur.n
-        if not (0 <= step.v < n and 0 <= step.u < n) or not cur.tree.has_edge(step.v, step.u):
+        v, u = step.v, step.u
+        if not (cur.tree.has_edge(v, u) and chain.alive[v] and chain.alive[u]):
             return False
-        loc = _locus(cur, step.v, step.u)
-        if loc is None or loc.ell != step.ell or sorted(step.ws) != sorted(loc.ws):
+        found = chain.cut(v, u)
+        if found is None:
             return False
-        case, _ = _classify(cur, loc)
-        if case != step.case or (case == "a" and step.y_prime_has_u):
+        ws, ell, case, _ = found
+        if ell != step.ell or sorted(ws) != sorted(step.ws) or case != step.case:
             return False
-        child = _child_triple(cur, loc, step.y_prime_has_u)
-        child_c, _ = child.canonicalized()
-        if child_c.canonical_key != step.child_canonical:
+        if case == "a" and step.y_prime_has_u:
             return False
-        cur = child_c
-    ok, marker = _base_case(cur) if len(cur.x) <= 2 else (False, None)
+        chain.settle(u, int(step.y_prime_has_u))
+    if chain.x_count > 2:
+        return False
+    ok, marker = chain.base()
     return ok and marker == trace.base
 
 

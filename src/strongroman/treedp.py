@@ -1,10 +1,7 @@
 """Linear-time Roman domination on trees.
 
 Standard rooted dynamic program with four states per vertex; vertices outside
-the constrained set may stay at value 0 without ever being dominated.  A
-rerooting pass over the same recurrence gives, for every vertex at once, the
-minimum weight with that vertex forced to value 2, and from it the set of
-vertices that see a 2 under some minimum assignment.
+the constrained set may stay at value 0 without ever being dominated.
 """
 
 from __future__ import annotations
@@ -91,57 +88,3 @@ def gamma_R_tree(t: Tree, x: Iterable[int], *, root: int = 0) -> int:
         raise ValueError(f"root {root} out of range")
     parent, order = _rooted(t, root)
     return int(_down_terms(t, xset, parent, order)[root][1])
-
-
-def _all_roots(t: Tree, xset: frozenset[int]) -> tuple[int, list[int]]:
-    """``gamma_R_tree`` and, per vertex ``w``, the least weight with f(w) = 2.
-
-    Rerooting: the branch at ``parent(v)`` seen from ``v`` is the parent's
-    state over its other branches; sums leave one branch out by subtraction
-    and the penalty minimum by keeping the two smallest.
-    """
-    parent, order = _rooted(t, 0)
-    down = _down_terms(t, xset, parent, order)
-    up = [None] * t.n  # terms of the branch at parent(v), as seen from v
-    forced = [0] * t.n
-    for v in order:
-        branches = [(c, down[c]) for c in t.neighbors(v) if c != parent[v]]
-        if v != 0:
-            branches.append((parent[v], up[v]))
-        any_sum = no2_sum = 0
-        best = second = (_INF, -1)
-        for c, (a, b, p) in branches:
-            any_sum += a
-            no2_sum += b
-            if p < best[0]:
-                best, second = (p, c), best
-            elif p < second[0]:
-                second = (p, c)
-        forced[v] = 2 + any_sum
-        for c, (a, b, _) in branches:
-            if c != parent[v]:
-                pen = second[0] if best[1] == c else best[0]
-                up[c] = _combine(any_sum - a, no2_sum - b, pen, v in xset)
-    return int(down[0][1]), forced
-
-
-def forced_two_weights(t: Tree, x: Iterable[int]) -> list[int]:
-    """Per vertex ``w``, the minimum weight as in ``gamma_R_tree`` with f(w) = 2."""
-    return _all_roots(t, _constrained_set(t, x))[1]
-
-
-def two_neighbourhood(t: Tree, x: Iterable[int]) -> frozenset[int]:
-    """The vertices with a 2 in their closed neighbourhood under some minimum
-    Roman function of ``(t, x)``: ``N[S2]`` where ``S2`` holds the vertices
-    whose forced-2 weight equals ``gamma_R_tree``.
-
-    For a member triple ``(t, x, y)`` other than the constrained one-vertex
-    seed this is exactly ``y`` (acceptance property (iv)).
-    """
-    gamma, forced = _all_roots(t, _constrained_set(t, x))
-    out = set()
-    for w in t.vertices():
-        if forced[w] == gamma:
-            out.add(w)
-            out.update(t.neighbors(w))
-    return frozenset(out)

@@ -85,6 +85,14 @@ def prufer_tree(n: int, rng: random.Random) -> Tree:
     return Tree(n, edges)
 
 
+def caterpillar(k: int) -> Tree:
+    """C_k: a spine of ``k`` vertices with three leaves on each; a member under X = Y = V."""
+    edges = [(i, i + 1) for i in range(k - 1)]
+    for i in range(k):
+        edges += [(i, k + 3 * i + j) for j in range(3)]
+    return Tree(4 * k, edges)
+
+
 def subsets(n: int):
     for mask in range(1 << n):
         yield frozenset(v for v in range(n) if mask >> v & 1)

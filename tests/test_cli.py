@@ -89,6 +89,15 @@ class TestRecognize:
         assert code == 1
         assert cert["result"]["strongly_equal"] is False
 
+    @pytest.mark.parametrize("text", [STAR, P2, "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"])
+    def test_byte_identical_across_runs(self, capsys, tmp_path, text):
+        p = tmp_path / "t.txt"
+        p.write_text(text)
+        run(["recognize", str(p)])
+        first = capsys.readouterr().out
+        run(["recognize", str(p)])
+        assert capsys.readouterr().out == first
+
     def test_dot_side_output(self, capsys, star_file, tmp_path):
         dot = tmp_path / "t.dot"
         code, _ = run_json(capsys, ["recognize", star_file, "--dot", str(dot)])
@@ -200,9 +209,7 @@ class TestVerifyCommand:
             trace["terminal"]["failure"] = "anything at all"
         else:
             assert trace["steps"] == []
-            trace["steps"].append(
-                {"u": 0, "v": 1, "w": [], "ell": 0, "case": "a", "yPrimeHasU": False, "childCanonical": ""}
-            )
+            trace["steps"].append({"u": 0, "v": 1, "w": [], "ell": 0, "case": "a", "yPrimeHasU": False})
         p = tmp_path / "cert.json"
         p.write_text(json.dumps(cert))
         code, (res,) = run_json(capsys, ["verify", str(p)])
@@ -218,7 +225,7 @@ class TestVerifyCommand:
         cert = json.loads(capsys.readouterr().out)
         result = cert["result"]
         step = result["trace"]["steps"][0]
-        assert step["u"] == 2 and step["w"] == [1, 3]
+        assert step["u"] == 3 and step["w"] == [1, 2]
         if edit == "result key":
             result["note"] = "extra"
         elif edit == "strongly_equal 1":
@@ -230,11 +237,66 @@ class TestVerifyCommand:
         elif edit == "step u float":
             step["u"] = 2.0
         else:
-            step["w"] = [1.0, 3]
+            step["w"] = [1.0, 2]
         p = tmp_path / "cert.json"
         p.write_text(json.dumps(cert))
         code, (res,) = run_json(capsys, ["verify", str(p)])
         assert code == 1 and res == {"kind": "recognize", "verified": False, "detail": "result mismatch"}
+
+    @pytest.mark.parametrize("edit", ["failure", "step", "v", "u", "drop v and u"])
+    def test_tampered_rejection_terminal_fails(self, capsys, tmp_path, edit):
+        p4 = tmp_path / "p4.txt"
+        p4.write_text("4 3\n0 1\n1 2\n2 3\n")
+        assert run(["recognize", str(p4)]) == 1
+        cert = json.loads(capsys.readouterr().out)
+        terminal = cert["result"]["trace"]["terminal"]
+        assert terminal == {"failure": "a single branch meets X (need at least two)", "step": 0, "v": 0, "u": 1}
+        if edit == "failure":
+            terminal["failure"] = "no branch meets X"
+        elif edit == "step":
+            terminal["step"] = 1
+        elif edit == "v":
+            terminal["v"] = 2
+        elif edit == "u":
+            terminal["u"] = 2
+        else:
+            del terminal["v"], terminal["u"]
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        code, (res,) = run_json(capsys, ["verify", str(p)])
+        assert code == 1 and res == {"kind": "recognize", "verified": False, "detail": "result mismatch"}
+
+    @pytest.mark.parametrize("kind", ["dp-rdf gamma_R", "generate x", "gadget boolean"])
+    def test_retyped_value_fails(self, capsys, tmp_path, star_file, cnf_file, kind):
+        # each edit compares equal with ==; only the serialized text differs
+        if kind == "dp-rdf gamma_R":
+            assert run(["solve", star_file, "--method", "dp-rdf"]) == 0
+            cert = json.loads(capsys.readouterr().out)
+            cert["result"]["gamma_R"] = 2.0
+        elif kind == "generate x":
+            assert run(["generate", "--n", "6", "--seed", "2"]) == 0
+            cert = json.loads(capsys.readouterr().out)
+            assert cert["result"]["x"]
+            cert["result"]["x"] = [float(v) for v in cert["result"]["x"]]
+        else:
+            assert run(["gadget", cnf_file, "--verify"]) == 0
+            cert = json.loads(capsys.readouterr().out)
+            assert cert["result"]["report"]["iff_holds"] is True
+            cert["result"]["report"]["iff_holds"] = 1
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        code, (res,) = run_json(capsys, ["verify", str(p)])
+        assert code == 1 and res["verified"] is False and res["detail"] == "result mismatch"
+
+    def test_other_certificate_version_fails(self, capsys, tmp_path, star_file):
+        run(["recognize", star_file])
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["certificate_version"] == 2
+        cert["certificate_version"] = 1
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        code, (res,) = run_json(capsys, ["verify", str(p)])
+        assert code == 1 and res == {"kind": "recognize", "verified": False, "detail": "certificate_version is not 2"}
 
     def test_negative_recognize_with_numeric_verdict_fails(self, capsys, tmp_path, p2_file):
         assert run(["recognize", p2_file]) == 1

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -10,8 +12,7 @@ from strongroman.recognizer import (
     ReductionTrace,
     TraceStep,
     Triple,
-    _child_triple,
-    _classify,
+    _Chain,
     configuration_case,
     configurations,
     decide_in_S,
@@ -21,7 +22,8 @@ from strongroman.recognizer import (
 )
 from strongroman.solver import solve_report
 
-from conftest import prufer_tree, subsets, trees_of_order
+from conftest import caterpillar, prufer_tree, subsets, trees_of_order
+from reference_chain import child_triple
 
 K1 = Tree(1, ())
 P4 = Tree(4, [(0, 1), (1, 2), (2, 3)])
@@ -71,67 +73,91 @@ class TestFindLocus:
             find_locus(Triple(P4, frozenset({0, 3}), frozenset(range(4))))
 
 
+def cut(tr, loc):
+    """``(case, failure)`` of a fresh chain's cut at a locus."""
+    return _Chain(tr).cut(loc.v, loc.u)[2:]
+
+
 class TestReduce:
     def test_p4_rejected(self):
         tr = triple_for_tree(P4)
-        assert _classify(tr, find_locus(tr)) == (None, "a single branch meets X (need at least two)")
+        assert cut(tr, find_locus(tr)) == (None, "a single branch meets X (need at least two)")
 
     def test_star_case_a(self):
         tr = triple_for_tree(K13C1)
         loc = find_locus(tr)
-        assert _classify(tr, loc) == ("a", None)
-        child = _child_triple(tr, loc, False)
+        assert cut(tr, loc) == ("a", None)
+        child = child_triple(tr, loc, False)
         assert child.n == 1 and child.x == frozenset() and child.y == frozenset()
 
     def test_k14_case_b(self):
         tr = triple_for_tree(K14)
         loc = find_locus(tr)
-        assert _classify(tr, loc) == ("b", None)
-        kids = [_child_triple(tr, loc, with_u) for with_u in (False, True)]
+        assert cut(tr, loc) == ("b", None)
+        kids = [child_triple(tr, loc, with_u) for with_u in (False, True)]
         assert [sorted(k.y) for k in kids] == [[], [0]]
         assert all(k.x == frozenset() for k in kids)
 
 
-# Every reason decide_in_S can give before its first step, and one from below
-# it; the texts are part of the rejection certificates.
+# Every reason decide_in_S can give before its first step, and two from
+# after it, with the terminal that records them; the texts are part of the
+# rejection certificates, and (v, u) is in the input's canonical labels.
 REJECTIONS = {
-    "single-branch": (P4, range(4), range(4), "a single branch meets X (need at least two)"),
+    "single-branch": (
+        P4,
+        range(4),
+        range(4),
+        {"failure": "a single branch meets X (need at least two)", "step": 0, "v": 0, "u": 1},
+    ),
     "u-outside-x": (
         Tree(5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
         {1, 2, 4},
         {1, 2, 4},
-        "two branches meet X but the path vertex u is not in X",
+        {"failure": "two branches meet X but the path vertex u is not in X", "step": 0, "v": 1, "u": 0},
     ),
-    "uv-outside-y": (Tree(4, [(0, 1), (0, 2), (0, 3)]), {1, 2, 3}, {1, 2, 3}, "u and v must both lie in Y"),
+    "uv-outside-y": (
+        Tree(4, [(0, 1), (0, 2), (0, 3)]),
+        {1, 2, 3},
+        {1, 2, 3},
+        {"failure": "u and v must both lie in Y", "step": 0, "v": 0, "u": 3},
+    ),
     "branch-y": (
         Tree(5, [(0, 1), (0, 3), (0, 4), (1, 2)]),
         {1, 3, 4},
         range(5),
-        "branch at 1 must meet Y exactly in its root",
+        {"failure": "branch at 1 must meet Y exactly in its root", "step": 0, "v": 0, "u": 4},
     ),
+    # The second cut's v is the first cut's u: the Y' candidate without u
+    # fails where v must lie in Y, the one with u at a branch read after it.
     "y-star": (
         Tree(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (1, 8)]),
         range(2, 8),
         range(8),
-        "no reduced triple is accepted (neither Y' candidate is Y* of the reduced tree)",
+        {"failure": "branch at 1 must meet Y exactly in its root", "step": 1, "v": 0, "u": 8},
     ),
-    "x-empty": (K1, (), {0}, "Y must be empty when X is empty"),
-    "x-single": (P2, {0}, {0}, "a single constrained vertex only works on the one-vertex tree"),
-    "x-pair": (P2, {0, 1}, {0, 1}, "exactly two constrained vertices never occur in the class"),
+    "x-empty": (K1, (), {0}, {"failure": "Y must be empty when X is empty", "step": 0}),
+    "x-single": (
+        P2,
+        {0},
+        {0},
+        {"failure": "a single constrained vertex only works on the one-vertex tree", "step": 0},
+    ),
+    "x-pair": (P2, {0, 1}, {0, 1}, {"failure": "exactly two constrained vertices never occur in the class", "step": 0}),
     "wrapped": (
         Tree(7, [(0, 1), (0, 4), (1, 2), (2, 3), (4, 5), (4, 6)]),
         {0, 1, 2, 3, 5, 6},
         range(7),
-        "no reduced triple is accepted (a single branch meets X (need at least two))",
+        {"failure": "a single branch meets X (need at least two)", "step": 1, "v": 5, "u": 6},
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REJECTIONS))
 def test_rejection_reason(name):
-    tree, x, y, reason = REJECTIONS[name]
+    tree, x, y, terminal = REJECTIONS[name]
     ok, trace = decide_in_S(Triple(tree, frozenset(x), frozenset(y)))
-    assert not ok and trace.steps == () and trace.failure == reason
+    assert not ok and trace.steps == () and trace.to_json_dict()["terminal"] == terminal
+    assert ReductionTrace.from_json_dict(trace.to_json_dict()) == trace
 
 
 class TestDecide:
@@ -215,18 +241,7 @@ class TestVerifyTrace:
         _, trace = decide_in_S(tr)
         s = trace.steps[0]
         bad = ReductionTrace(
-            (TraceStep(s.u, s.v, s.ws, s.ell, s.case, not s.y_prime_has_u, s.child_canonical),),
-            trace.base,
-            None,
-        )
-        assert not verify_trace(tr, bad)
-
-    def test_corrupted_child_key(self):
-        tr = triple_for_tree(K13C1)
-        _, trace = decide_in_S(tr)
-        s = trace.steps[0]
-        bad = ReductionTrace(
-            (TraceStep(s.u, s.v, s.ws, s.ell, s.case, s.y_prime_has_u, "(bogus)"),),
+            (TraceStep(s.u, s.v, s.ws, s.ell, s.case, not s.y_prime_has_u),),
             trace.base,
             None,
         )
@@ -237,21 +252,25 @@ class TestVerifyTrace:
         [
             {"ell": 3},
             {"ws": (1,)},
-            {"ws": (1, 2)},
+            {"ws": (1, 3)},
             {"ws": (1, 2, 3)},
             {"case": "b"},
+            {"y_prime_has_u": True},
         ],
     )
     def test_corrupted_step(self, change):
+        # wrong ell; a root missing; u in place of a root; u as an extra
+        # root; the wrong case; u kept in a case-"a" Y'
         tr = triple_for_tree(K13C1)
         ok, trace = decide_in_S(tr)
-        assert ok and trace.steps[0].ws == (1, 3) and trace.steps[0].u == 2
+        assert ok and trace.steps[0].ws == (1, 2) and trace.steps[0].u == 3
         bad = ReductionTrace((dataclasses.replace(trace.steps[0], **change),), trace.base, None)
         assert not verify_trace(tr, bad)
 
     def test_u_kept_in_case_a(self):
         # The case-"a" child that keeps u is a member here, so only the rule
-        # that case "a" drops u from Y' rejects the trace.
+        # that case "a" drops u from Y' rejects the trace.  The child's own
+        # trace is lifted into the input's canonical labels.
         tr = Triple(
             Tree(8, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (5, 6), (5, 7)]),
             frozenset({0, 1, 3, 4, 6, 7}),
@@ -259,13 +278,27 @@ class TestVerifyTrace:
         )
         canon, _ = tr.canonicalized()
         loc = find_locus(canon)
-        assert _classify(canon, loc) == ("a", None)
-        child = _child_triple(canon, loc, True)
+        assert cut(canon, loc) == ("a", None)
+        child = child_triple(canon, loc, True)
         ok, sub = decide_in_S(child)
-        assert ok
-        step = TraceStep(loc.u, loc.v, loc.ws, loc.ell, "a", True, child.canonical_key)
-        assert not verify_trace(tr, ReductionTrace((step,) + sub.steps, sub.base, None))
+        assert ok and verify_trace(child, sub)
+        _, to_child_canon = child.canonicalized()
+        lift = {new: old for old, new in loc.split.to_prime.items()}
+        lift = {new: lift[old] for old, new in to_child_canon.items()}
+        steps = [TraceStep(loc.u, loc.v, loc.ws, loc.ell, "a", True)] + [
+            TraceStep(lift[s.u], lift[s.v], tuple(lift[w] for w in s.ws), s.ell, s.case, s.y_prime_has_u)
+            for s in sub.steps
+        ]
+        assert not verify_trace(tr, ReductionTrace(tuple(steps), sub.base, None))
         assert not decide_in_S(tr)[0]
+        # the same replay with u kept by hand reaches the base case
+        chain = _Chain(canon)
+        chain.cut(loc.v, loc.u)
+        chain.settle(loc.u, 1)
+        for s in steps[1:]:
+            assert chain.cut(s.v, s.u)[1:] == (s.ell, s.case, None)
+            chain.settle(s.u, int(s.y_prime_has_u))
+        assert chain.base() == (True, sub.base)
 
     def test_empty_trace_base_case(self):
         tr = triple_for_tree(K1)
@@ -331,3 +364,44 @@ def test_scales_beyond_the_oracle_cap():
     star = triple_for_tree(Tree(80, [(0, i) for i in range(1, 80)]))
     ok, trace = decide_in_S(star)
     assert ok and len(trace.steps) == 1 and verify_trace(star, trace)
+
+
+@contextlib.contextmanager
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestScale:
+    """Inputs far beyond the oracle cap, decided and replayed under the
+    interpreter's default recursion limit; no timing is asserted."""
+
+    def test_caterpillar_ten_thousand_vertices(self):
+        tr = triple_for_tree(caterpillar(2500))
+        with default_recursion_limit():
+            ok, trace = decide_in_S(tr)
+            assert ok and len(trace.steps) == 2500
+            assert verify_trace(tr, trace)
+
+    def test_path_ten_thousand_rejected(self):
+        tr = triple_for_tree(Tree(10_000, [(i, i + 1) for i in range(9_999)]))
+        with default_recursion_limit():
+            ok, trace = decide_in_S(tr)
+        assert not ok and trace.failure == "a single branch meets X (need at least two)"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_member_500(self, seed):
+        from strongroman.generator import random_member
+
+        tr, _ = random_member(500, seed)
+        extra = sorted(tr.y - tr.x)
+        assert extra
+        with default_recursion_limit():
+            ok, trace = decide_in_S(tr)
+            assert ok and verify_trace(tr, trace)
+            ok, _ = decide_in_S(Triple(tr.tree, tr.x, tr.y - {random.Random(seed).choice(extra)}))
+            assert not ok

@@ -1,63 +1,22 @@
-"""The reduction chain against references that search instead of choosing.
+"""The one-pass decider against the reduction chain it replaced.
 
-``reference_decide`` explores both Y' candidates in the three-or-more
-pattern, as the recognizer did before it picked Y' by ``two_neighbourhood``;
-``all_pairs_longest_x_path`` compares every pair of marked vertices.  The
-chain must reach the same verdicts and byte-identical accepting traces.
+``reference_chain.chain_decide`` cuts at the end of the lexicographically
+smallest longest X-path, relabels every reduced triple and picks Y' as Y*;
+``explore_both`` decides both Y' candidates instead.  The decider must reach
+the same verdict with as many steps, and replay every trace it accepts with;
+``all_pairs_longest_x_path`` compares every pair of marked vertices.
 """
 
-import json
 import random
 import sys
 from collections import deque
 
 from strongroman.generator import random_member
 from strongroman.graphs import Tree, longest_x_path
-from strongroman.recognizer import (
-    ReductionTrace,
-    TraceStep,
-    Triple,
-    _base_case,
-    _child_triple,
-    _classify,
-    decide_in_S,
-    find_locus,
-    triple_for_tree,
-)
+from strongroman.recognizer import Triple, decide_in_S, triple_for_tree, verify_trace
 
-from conftest import prufer_tree, trees_of_order
-
-
-def reference_decide(tr: Triple) -> tuple[bool, ReductionTrace]:
-    canon, _ = tr.canonicalized()
-    return _search(canon, {})
-
-
-def _search(tr: Triple, memo: dict) -> tuple[bool, ReductionTrace]:
-    key = tr.canonical_key
-    if key in memo:
-        return memo[key]
-    if len(tr.x) <= 2:
-        ok, marker = _base_case(tr)
-        result = (ok, ReductionTrace((), marker, None) if ok else ReductionTrace((), None, marker))
-    else:
-        loc = find_locus(tr)
-        case, _ = _classify(tr, loc)
-        accepted = []
-        for has_u in {"a": (False,), "b": (False, True)}.get(case, ()):
-            child_c, _ = _child_triple(tr, loc, has_u).canonicalized()
-            ok, sub = _search(child_c, memo)
-            if ok:
-                accepted.append((has_u, child_c, sub))
-        assert len(accepted) <= 1, "both Y' candidates were accepted"
-        if accepted:
-            has_u, child_c, sub = accepted[0]
-            step = TraceStep(loc.u, loc.v, loc.ws, loc.ell, case, has_u, child_c.canonical_key)
-            result = (True, ReductionTrace((step,) + sub.steps, sub.base, None))
-        else:
-            result = (False, ReductionTrace((), None, "no reduced triple is accepted"))
-    memo[key] = result
-    return result
+from conftest import caterpillar, prufer_tree, trees_of_order
+from reference_chain import chain_decide, explore_both
 
 
 def all_pairs_longest_x_path(t: Tree, x) -> list[int]:
@@ -89,44 +48,71 @@ def all_pairs_longest_x_path(t: Tree, x) -> list[int]:
     return best_path
 
 
-def assert_agrees(tr: Triple) -> bool:
+def assert_agrees(tr: Triple, *, search: bool = False) -> bool:
+    """The decider against the chain and, with ``search``, the chain against
+    the search over both Y' candidates, step for step."""
     ok, trace = decide_in_S(tr)
-    ref_ok, ref_trace = reference_decide(tr)
+    ref_ok, ref_steps = chain_decide(tr)
     assert ok == ref_ok, (tr.tree.edges, sorted(tr.x), sorted(tr.y))
+    if search:
+        assert explore_both(tr) == (ref_ok, ref_steps)
     if ok:
-        assert json.dumps(trace.to_json_dict()) == json.dumps(ref_trace.to_json_dict())
+        assert len(trace.steps) == len(ref_steps)
+        assert verify_trace(tr, trace)
     return ok
-
-
-def caterpillar(k: int) -> Tree:
-    """A spine of ``k`` vertices with three leaves on each; a member under X = Y = V."""
-    edges = [(i, i + 1) for i in range(k - 1)]
-    for i in range(k):
-        edges += [(i, k + 3 * i + j) for j in range(3)]
-    return Tree(4 * k, edges)
 
 
 def test_matches_reference_on_all_trees_full_x():
     accepted = sum(
-        assert_agrees(triple_for_tree(t)) for n in range(1, 11) for t in trees_of_order(n)
+        assert_agrees(triple_for_tree(t), search=True) for n in range(1, 11) for t in trees_of_order(n)
     )
     assert accepted == 18  # the criterion-7 counts summed over orders 1..10
 
 
 def test_matches_reference_on_oracle_y(oracle_n7):
-    accepted = sum(assert_agrees(Triple(t, x, rep.y)) for t, x, rep in oracle_n7)
+    accepted = sum(assert_agrees(Triple(t, x, rep.y), search=True) for t, x, rep in oracle_n7)
     assert accepted == sum(rep.all_min_wrdfs_are_rdf for _, _, rep in oracle_n7)
+
+
+def test_matches_reference_on_random_triples():
+    rng = random.Random(6)
+    accepted = 0
+    for _ in range(3000):
+        n = rng.randint(1, 14)
+        t = prufer_tree(n, rng)
+        y = frozenset(v for v in range(n) if rng.random() < 0.85)
+        accepted += assert_agrees(Triple(t, frozenset(v for v in y if rng.random() < 0.7), y))
+    assert accepted > 100
+
+
+def test_matches_reference_on_members_with_y_flips(closure10):
+    flipped = 0
+    for m in closure10.values():
+        assert assert_agrees(m)
+        for v in sorted(set(range(m.n)) - m.x)[:3]:
+            assert_agrees(Triple(m.tree, m.x, m.y ^ {v}))
+            flipped += 1
+    assert flipped > 1000
 
 
 def test_matches_reference_on_grown_members():
     for n in (5, 10, 20, 30, 40, 50, 60):
         for seed in range(3):
             tr, _ = random_member(n, seed)
-            assert assert_agrees(tr)
+            assert assert_agrees(tr, search=True)
             extra = sorted(tr.y - tr.x)
             if extra:
                 v = random.Random(seed).choice(extra)
-                assert_agrees(Triple(tr.tree, tr.x, tr.y - {v}))
+                assert_agrees(Triple(tr.tree, tr.x, tr.y - {v}), search=True)
+
+
+def test_matches_reference_on_grown_members_to_150():
+    for n in range(5, 151):
+        tr, _ = random_member(n, n % 3)
+        assert assert_agrees(tr)
+        extra = sorted(tr.y - tr.x)
+        if extra:
+            assert not assert_agrees(Triple(tr.tree, tr.x, tr.y - {random.Random(n).choice(extra)}))
 
 
 def test_longest_x_path_matches_all_pairs_reference():

@@ -7,9 +7,10 @@ import pytest
 from strongroman.graphs import Tree
 from strongroman.roman import Assignment, is_rdf
 from strongroman.solver import gamma_R, solve_report
-from strongroman.treedp import forced_two_weights, gamma_R_tree, two_neighbourhood
+from strongroman.treedp import gamma_R_tree
 
 from conftest import prufer_tree, subsets, trees_of_order
+from reference_chain import forced_two_weights, two_neighbourhood
 
 K1 = Tree(1, ())
 P3 = Tree(3, [(0, 1), (1, 2)])
