@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`strongroman.graphs`      immutable graphs/trees, parsing, canonical forms
+- :mod:`strongroman.graphs`      graphs/trees, traversal, range checks, canonical forms
 - :mod:`strongroman.roman`       assignments and the domination predicates
 - :mod:`strongroman.solver`      exhaustive oracles and the class-membership test
 - :mod:`strongroman.treedp`      linear-time Roman number on trees

@@ -125,14 +125,13 @@ def _cmd_recognize(args) -> int:
 
 
 def _generate_result(base: Triple, steps: list[OpStep], triple: Triple) -> dict:
-    canon, _ = triple.canonicalized()
     return {
         "base": _triple_json(base),
         "steps": [s.to_json_dict() for s in steps],
         "tree": format_edge_list(triple.tree),
         "x": sorted(triple.x),
         "y": sorted(triple.y),
-        "canonical": canon.canonical_key,
+        "canonical": triple.canonical_key,
     }
 
 

@@ -72,6 +72,15 @@ def base_triples() -> tuple[Triple, Triple]:
     return Triple(k1, frozenset(), frozenset()), Triple(k1, frozenset({0}), frozenset({0}))
 
 
+def _anchors(tr: Triple) -> tuple[list[int], list[int]]:
+    """The op-4 anchors (cut vertices) and the op-5 anchors (branch roots)
+    of the configurations of ``tr``, each in increasing order."""
+    configs = configurations(tr)
+    cuts = sorted({v for v, _ in configs})
+    roots = sorted({w for v, u in configs for w in tr.tree.neighbors(v) if w != u})
+    return cuts, roots
+
+
 def apply_op(tr: Triple, step: OpStep) -> Triple:
     """Apply one extension operation, validating its applicability condition."""
     t, x, y = tr.tree, tr.x, tr.y
@@ -113,7 +122,7 @@ def apply_op(tr: Triple, step: OpStep) -> Triple:
         return Triple(tree, x | new_x, y | {a, v, w1, w2, w3})
 
     if step.op == 4:
-        if not any(v == a for v, _ in configurations(tr)):
+        if a not in _anchors(tr)[0]:
             raise OperationNotApplicable(
                 4, "anchor is not the cut vertex of any valid configuration"
             )
@@ -122,7 +131,7 @@ def apply_op(tr: Triple, step: OpStep) -> Triple:
         return Triple(tree, new_x, y | {n})
 
     # operation 5
-    if not any(u != a and t.has_edge(v, a) for v, u in configurations(tr)):
+    if a not in _anchors(tr)[1]:
         raise OperationNotApplicable(
             5, "anchor is not a branch root of any valid configuration"
         )
@@ -137,12 +146,11 @@ def applicable_steps(tr: Triple, max_order: int) -> Iterator[OpStep]:
         for u in tr.tree.vertices():
             if u not in tr.y:
                 yield OpStep(1, u)
-        t = tr.tree
-        configs = configurations(tr)
-        for v in sorted({v for v, _ in configs}):
+        cuts, roots = _anchors(tr)
+        for v in cuts:
             yield OpStep(4, v, 0)
             yield OpStep(4, v, 1)
-        for w in sorted({w for v, u in configs for w in t.neighbors(v) if w != u}):
+        for w in roots:
             yield OpStep(5, w)
     if n + 3 <= max_order:
         for u in tr.tree.vertices():

@@ -2,12 +2,15 @@
 
 Vertices are always the integers ``0 .. n-1``.  Labels, when present, are
 cosmetic metadata and never participate in equality or canonical forms.
+This module owns the primitives the other modules share: the adjacency
+tuples, the one breadth-first traversal (``rooted``) and the vertex-range
+check on vertex sets (``vertex_subset``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import ne
 from typing import Iterable, Mapping, Optional
 
 
@@ -65,7 +68,7 @@ class Graph:
     ``Tree.from_graph`` checks the tree property without rebuilding.
     """
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_edge_set", "_masks")
+    __slots__ = ("n", "edges", "labels", "_adj")
 
     def __init__(
         self,
@@ -78,8 +81,8 @@ class Graph:
         edges = list(edges)
         try:
             norm = sorted([(a, b) if a < b else (b, a) for a, b in edges])
-            edge_set = frozenset(norm)
-            valid = len(edge_set) == len(norm) and all(0 <= a < b < n for a, b in norm)
+            # sorted, so a duplicate sits next to its twin
+            valid = all(0 <= a < b < n for a, b in norm) and all(map(ne, norm, norm[1:]))
         except (TypeError, ValueError):
             _raise_first_bad_edge(n, edges)
             raise
@@ -100,8 +103,6 @@ class Graph:
             labels = dict(labels)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
-        object.__setattr__(self, "_edge_set", edge_set)
-        object.__setattr__(self, "_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -116,15 +117,8 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self._edge_set
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks, built lazily (exhaustive solvers only)."""
-        masks = object.__getattribute__(self, "_masks")
-        if masks is None:
-            masks = tuple(sum(1 << u for u in nbrs) for nbrs in self._adj)
-            object.__setattr__(self, "_masks", masks)
-        return masks
+        # an endpoint outside 0..n-1 is no vertex; a negative one must not wrap
+        return 0 <= a < self.n and b in self._adj[a]
 
     def label_of(self, v: int) -> Optional[str]:
         return None if self.labels is None else self.labels.get(v)
@@ -139,24 +133,32 @@ class Graph:
         return f"{type(self).__name__}(n={self.n}, m={len(self.edges)})"
 
 
-def _is_connected(g: Graph) -> bool:
-    seen = bytearray(g.n)
-    seen[0] = 1
-    todo = deque([0])
-    count = 1
-    while todo:
-        v = todo.popleft()
+def rooted(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Parent of every vertex reached from ``root`` (the root is its own,
+    any other vertex -1) and the reached vertices in breadth-first order."""
+    parent = [-1] * g.n
+    order = [root]
+    parent[root] = root
+    for v in order:
         for u in g.neighbors(v):
-            if not seen[u]:
-                seen[u] = 1
-                count += 1
-                todo.append(u)
-    return count == g.n
+            if parent[u] == -1:
+                parent[u] = v
+                order.append(u)
+    return parent, order
+
+
+def vertex_subset(g: Graph, s: Iterable[int], name: str) -> frozenset[int]:
+    """``s`` as a set, once every member is checked to be a vertex of ``g``."""
+    out = frozenset(s)
+    for v in out:
+        if not (0 <= v < g.n):
+            raise ValueError(f"{name} contains vertex {v} outside 0..{g.n - 1}")
+    return out
 
 
 def is_tree(g: Graph) -> bool:
     """True iff ``g`` is connected and acyclic."""
-    return len(g.edges) == g.n - 1 and _is_connected(g)
+    return len(g.edges) == g.n - 1 and len(rooted(g, 0)[1]) == g.n
 
 
 def _require_tree(g: Graph) -> None:
@@ -178,10 +180,9 @@ class Tree(Graph):
         """``g`` as a tree, sharing its validated immutable structure."""
         _require_tree(g)
         t = object.__new__(cls)
-        for name in ("n", "edges", "_adj", "_edge_set"):
+        for name in ("n", "edges", "_adj"):
             object.__setattr__(t, name, getattr(g, name))
         object.__setattr__(t, "labels", None if g.labels is None else dict(g.labels))
-        object.__setattr__(t, "_masks", None)
         return t
 
 
@@ -319,23 +320,15 @@ def _centers(t: Tree) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_encoding(t: Tree, colors: Mapping[int, int], root: int) -> dict[int, str]:
-    """Bottom-up subtree encodings; equal strings iff color-isomorphic subtrees."""
-    parent = {root: root}
-    order = [root]
-    todo = [root]
-    while todo:
-        v = todo.pop()
-        for u in t.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-                todo.append(u)
-    enc: dict[int, str] = {}
+def _rooted_encoding(t: Tree, colors: Mapping[int, int], root: int) -> tuple[list[str], list[int]]:
+    """Bottom-up subtree encodings (equal strings iff color-isomorphic
+    subtrees) and the parent list of ``t`` rooted at ``root``."""
+    parent, order = rooted(t, root)
+    enc = [""] * t.n
     for v in reversed(order):
-        kids = sorted(enc[u] for u in t.neighbors(v) if parent[u] == v and u != v)
+        kids = sorted(enc[u] for u in t.neighbors(v) if u != parent[v])
         enc[v] = "(" + str(colors[v]) + "".join(kids) + ")"
-    return enc
+    return enc, parent
 
 
 def canonical_relabel(t: Tree, colors: Optional[Mapping[int, int]] = None) -> tuple[str, dict[int, int]]:
@@ -352,25 +345,19 @@ def canonical_relabel(t: Tree, colors: Optional[Mapping[int, int]] = None) -> tu
         for v in t.vertices():
             if v not in colors:
                 raise ValueError(f"color missing for vertex {v}")
-    best: Optional[tuple[str, int, dict[int, str]]] = None
+    best: Optional[tuple[str, int, list[str], list[int]]] = None
     for c in _centers(t):
-        enc = _rooted_encoding(t, colors, c)
+        enc, parent = _rooted_encoding(t, colors, c)
         if best is None or enc[c] < best[0]:
-            best = (enc[c], c, enc)
-    key, root, enc = best
+            best = (enc[c], c, enc, parent)
+    key, root, enc, parent = best
     mapping: dict[int, int] = {}
-    parent = {root: root}
     todo = [root]
     while todo:
         v = todo.pop()
         mapping[v] = len(mapping)
-        kids = sorted(
-            (u for u in t.neighbors(v) if u not in parent),
-            key=lambda u: (enc[u], u),
-        )
-        for u in reversed(kids):
-            parent[u] = v
-            todo.append(u)
+        kids = sorted((u for u in t.neighbors(v) if u != parent[v]), key=lambda u: (enc[u], u))
+        todo.extend(reversed(kids))
     return key, mapping
 
 

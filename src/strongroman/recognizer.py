@@ -37,8 +37,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Optional
 
-from .graphs import Split, Tree, canonical_relabel, longest_x_path, split_at
-from .treedp import _rooted
+from .graphs import Split, Tree, canonical_relabel, longest_x_path, rooted, split_at
 
 # Vertex colors for canonical forms: outside both sets, in Y only, in X
 # (membership in X forces membership in Y, so three colors suffice).
@@ -361,7 +360,7 @@ def configurations(tr: Triple) -> list[tuple[int, int]]:
     the other side of the edge.
     """
     t, x, y = tr.tree, tr.x, tr.y
-    parent, order = _rooted(t, 0)
+    parent, order = rooted(t, 0)
     below = [0] * t.n  # Y-vertices in the subtree of each vertex
     for w in reversed(order):
         below[w] += w in y
@@ -412,8 +411,8 @@ def _decide(tr: Triple) -> tuple[bool, ReductionTrace]:
     if chain.x_count > 2:
         # A breadth-first order lists vertices by depth, so its last X-vertex
         # is a farthest one, and its last live X-vertex a deepest one.
-        _, order = _rooted(tr.tree, min(tr.x))
-        parent, order = _rooted(tr.tree, next(a for a in reversed(order) if x[a]))
+        _, order = rooted(tr.tree, min(tr.x))
+        parent, order = rooted(tr.tree, next(a for a in reversed(order) if x[a]))
         todo = [a for a in order if x[a]]
     while chain.x_count > 2:
         while not (alive[todo[-1]] and x[todo[-1]]):

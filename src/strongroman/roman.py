@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, vertex_subset
 
 
 class MoveError(ValueError):
@@ -72,18 +72,10 @@ def move(f: Assignment, v: int, u: int) -> Assignment:
     return Assignment(f.graph, tuple(vals))
 
 
-def _check_subset(s: Iterable[int], g: Graph, name: str) -> frozenset[int]:
-    out = frozenset(s)
-    for v in out:
-        if not (0 <= v < g.n):
-            raise ValueError(f"{name} contains vertex {v} outside 0..{g.n - 1}")
-    return out
-
-
 def is_x_dominating(d: Iterable[int], x: Iterable[int], g: Graph) -> bool:
     """True iff every vertex of ``x`` outside ``d`` has a neighbor in ``d``."""
-    dset = _check_subset(d, g, "dominating set")
-    xset = _check_subset(x, g, "target set")
+    dset = vertex_subset(g, d, "dominating set")
+    xset = vertex_subset(g, x, "target set")
     return all(
         any(w in dset for w in g.neighbors(u)) for u in xset if u not in dset
     )
@@ -91,7 +83,7 @@ def is_x_dominating(d: Iterable[int], x: Iterable[int], g: Graph) -> bool:
 
 def is_rdf(g: Graph, x: Iterable[int], f: Assignment) -> bool:
     """True iff every value-0 vertex of ``x`` has a neighbor of value 2."""
-    xset = _check_subset(x, g, "x")
+    xset = vertex_subset(g, x, "x")
     return all(
         any(f.values[w] == 2 for w in g.neighbors(u))
         for u in xset
@@ -103,8 +95,8 @@ def is_wrdf(g: Graph, x0: Iterable[int], x1: Iterable[int], f: Assignment) -> bo
     """Weak variant: a value-0 vertex of ``x0 | x1`` needs a positive neighbor
     whose unit can move to it while keeping the positive set x0-dominating.
     """
-    x0set = _check_subset(x0, g, "x0")
-    x1set = _check_subset(x1, g, "x1")
+    x0set = vertex_subset(g, x0, "x0")
+    x1set = vertex_subset(g, x1, "x1")
     if x0set & x1set:
         raise ValueError("x0 and x1 must be disjoint")
     for u in sorted(x0set | x1set):

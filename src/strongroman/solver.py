@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import Graph, Tree
+from .graphs import Graph, Tree, vertex_subset
 from .roman import Assignment
 
 
@@ -56,7 +56,7 @@ class _BitGraph:
 
     def __init__(self, g: Graph):
         self.n = g.n
-        self.adj = list(g.adjacency_masks())
+        self.adj = [sum(1 << u for u in g.neighbors(v)) for v in g.vertices()]
         h = (self.n + 1) // 2
         self.h = h
         self.lo_mask = (1 << h) - 1
@@ -73,15 +73,6 @@ class _BitGraph:
 
     def nbhd(self, mask: int) -> int:
         return self.lo[mask & self.lo_mask] | self.hi[mask >> self.h]
-
-
-def _validated_mask(s: Iterable[int], g: Graph, name: str) -> int:
-    mask = 0
-    for v in s:
-        if not (0 <= v < g.n):
-            raise ValueError(f"{name} contains vertex {v} outside 0..{g.n - 1}")
-        mask |= 1 << v
-    return mask
 
 
 def _set_of(mask: int) -> frozenset[int]:
@@ -189,7 +180,7 @@ def _require_cap(g: Graph, cap: int):
 def gamma_R(g: Graph, x: Iterable[int], limits: SolverLimits = DEFAULT_LIMITS) -> int:
     """Minimum weight of an assignment where value-0 vertices of ``x`` see a 2."""
     _require_cap(g, limits.value_cap)
-    return _gamma_R_bits(_BitGraph(g), _validated_mask(x, g, "x"))
+    return _gamma_R_bits(_BitGraph(g), sum(1 << v for v in vertex_subset(g, x, "x")))
 
 
 def gamma_r(
@@ -201,8 +192,8 @@ def gamma_r(
     """Minimum weight of a weak Roman dominating function for ``(g, x0, x1)``."""
     _require_cap(g, limits.value_cap)
     bg = _BitGraph(g)
-    m0 = _validated_mask(x0, g, "x0")
-    m1 = _validated_mask(x1, g, "x1")
+    m0 = sum(1 << v for v in vertex_subset(g, x0, "x0"))
+    m1 = sum(1 << v for v in vertex_subset(g, x1, "x1"))
     if m0 & m1:
         raise ValueError("x0 and x1 must be disjoint")
     bound = _gamma_R_bits(bg, m0 | m1)
@@ -222,7 +213,7 @@ def enumerate_minimum_wrdfs(
 ) -> list[Assignment]:
     """All minimum weak Roman dominating functions, lexicographic by digits."""
     _require_cap(g, limits.enumeration_cap)
-    xm = _validated_mask(x, g, "x")
+    xm = sum(1 << v for v in vertex_subset(g, x, "x"))
     _, _, _, minima = _minimum_wrdfs_masks(g, xm, 0)
     out = []
     for ones, twos in minima:
@@ -238,7 +229,7 @@ def solve_report(g: Graph, x: Iterable[int], limits: SolverLimits = DEFAULT_LIMI
     whether they are all Roman, and the set of coverable-or-rescuable vertices.
     """
     _require_cap(g, limits.enumeration_cap)
-    xm = _validated_mask(x, g, "x")
+    xm = sum(1 << v for v in vertex_subset(g, x, "x"))
     bg, roman, best, minima = _minimum_wrdfs_masks(g, xm, 0)
     nbhd = bg.nbhd
     full = (1 << g.n) - 1

@@ -9,30 +9,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .graphs import Tree
+from .graphs import Tree, rooted, vertex_subset
 
 _INF = math.inf
-
-
-def _constrained_set(t: Tree, x: Iterable[int]) -> frozenset[int]:
-    xset = frozenset(x)
-    for v in xset:
-        if not (0 <= v < t.n):
-            raise ValueError(f"x contains vertex {v} outside 0..{t.n - 1}")
-    return xset
-
-
-def _rooted(t: Tree, root: int) -> tuple[list[int], list[int]]:
-    """Parent of every vertex (the root is its own) and a top-down order."""
-    parent = [-1] * t.n
-    order = [root]
-    parent[root] = root
-    for v in order:
-        for u in t.neighbors(v):
-            if parent[u] == -1:
-                parent[u] = v
-                order.append(u)
-    return parent, order
 
 
 # A vertex's state is the minimum weight of its branch in each of four cases:
@@ -83,8 +62,8 @@ def gamma_R_tree(t: Tree, x: Iterable[int], *, root: int = 0) -> int:
     Agrees with the exhaustive ``solver.gamma_R`` on every input; the root
     choice does not affect the result.
     """
-    xset = _constrained_set(t, x)
+    xset = vertex_subset(t, x, "x")
     if not (0 <= root < t.n):
         raise ValueError(f"root {root} out of range")
-    parent, order = _rooted(t, root)
+    parent, order = rooted(t, root)
     return int(_down_terms(t, xset, parent, order)[root][1])

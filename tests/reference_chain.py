@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from strongroman.graphs import Tree
+from strongroman.graphs import Tree, rooted, vertex_subset
 from strongroman.recognizer import Triple, _classify, find_locus
-from strongroman.treedp import _INF, _combine, _constrained_set, _down_terms, _rooted
+from strongroman.treedp import _INF, _combine, _down_terms
 
 ChainStep = namedtuple("ChainStep", "u v ws ell case y_prime_has_u child_canonical")
 
@@ -30,7 +30,7 @@ def _all_roots(t: Tree, xset: frozenset[int]) -> tuple[int, list[int]]:
     state over its other branches; sums leave one branch out by subtraction
     and the penalty minimum by keeping the two smallest.
     """
-    parent, order = _rooted(t, 0)
+    parent, order = rooted(t, 0)
     down = _down_terms(t, xset, parent, order)
     up = [None] * t.n  # terms of the branch at parent(v), as seen from v
     forced = [0] * t.n
@@ -57,7 +57,7 @@ def _all_roots(t: Tree, xset: frozenset[int]) -> tuple[int, list[int]]:
 
 def forced_two_weights(t: Tree, x) -> list[int]:
     """Per vertex ``w``, the minimum weight as in ``gamma_R_tree`` with f(w) = 2."""
-    return _all_roots(t, _constrained_set(t, x))[1]
+    return _all_roots(t, vertex_subset(t, x, "x"))[1]
 
 
 def two_neighbourhood(t: Tree, x) -> frozenset[int]:
@@ -68,7 +68,7 @@ def two_neighbourhood(t: Tree, x) -> frozenset[int]:
     For a member triple ``(t, x, y)`` other than the constrained one-vertex
     seed this is exactly ``y`` (acceptance property (iv)).
     """
-    gamma, forced = _all_roots(t, _constrained_set(t, x))
+    gamma, forced = _all_roots(t, vertex_subset(t, x, "x"))
     out = set()
     for w in t.vertices():
         if forced[w] == gamma:

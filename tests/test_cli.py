@@ -243,6 +243,17 @@ class TestVerifyCommand:
         code, (res,) = run_json(capsys, ["verify", str(p)])
         assert code == 1 and res == {"kind": "recognize", "verified": False, "detail": "result mismatch"}
 
+    @pytest.mark.parametrize("field, value", [("v", -1), ("v", 4), ("u", -1), ("u", 4)])
+    def test_out_of_range_step_vertex_fails(self, capsys, tmp_path, star_file, field, value):
+        # a step vertex outside 0..n-1 is a failed check (exit 1), not an error
+        assert run(["recognize", star_file]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        cert["result"]["trace"]["steps"][0][field] = value
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        code, (res,) = run_json(capsys, ["verify", str(p)])
+        assert code == 1 and res == {"kind": "recognize", "verified": False, "detail": "result mismatch"}
+
     @pytest.mark.parametrize("edit", ["failure", "step", "v", "u", "drop v and u"])
     def test_tampered_rejection_terminal_fails(self, capsys, tmp_path, edit):
         p4 = tmp_path / "p4.txt"

@@ -22,7 +22,8 @@ from strongroman.graphs import (
     to_dot,
 )
 
-from conftest import prufer_tree, trees_of_order
+from conftest import caterpillar, prufer_tree, trees_of_order
+from reference_canon import canonical_relabel as reference_relabel
 
 P3 = Tree(3, [(0, 1), (1, 2)])
 P4 = Tree(4, [(0, 1), (1, 2), (2, 3)])
@@ -169,10 +170,11 @@ class TestConstruction:
                 ref_edges, ref_adj = expected
                 assert got.edges == ref_edges
                 assert all(got.neighbors(v) == ref_adj[v] for v in range(n))
+                # endpoints outside 0..n-1 are no vertices: never an edge, never an error
                 assert all(
                     got.has_edge(a, b) == ((min(a, b), max(a, b)) in ref_edges)
-                    for a in range(n)
-                    for b in range(n)
+                    for a in range(-1, n + 1)
+                    for b in range(-1, n + 1)
                 )
                 assert got.labels == labels
             else:
@@ -312,6 +314,26 @@ class TestCanonicalForm:
             key2, mapping2 = canonical_relabel(t2, colors2)
             assert key2 == key
             assert mapping2 == {v: v for v in range(t.n)}
+
+    def test_matches_reference(self):
+        # key and mapping both, on random trees (half 3-coloured) and on
+        # paths, stars and caterpillars, each of those also relabelled and coloured
+        rng = random.Random(5)
+        cases = []
+        for i in range(5000):
+            t = prufer_tree(rng.randint(1, 40), rng)
+            cases.append((t, {v: rng.randint(0, 2) for v in range(t.n)} if i % 2 else None))
+        for n in range(1, 41):
+            cases.append((Tree(n, [(v, v + 1) for v in range(n - 1)]), None))
+            cases.append((Tree(n, [(0, v) for v in range(1, n)]), None))
+        for k in range(1, 11):
+            cases.append((caterpillar(k), None))
+        for t, _ in cases[5000:]:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            cases.append((_relabel(t, perm), {v: rng.randint(0, 2) for v in range(t.n)}))
+        for t, colors in cases:
+            assert canonical_relabel(t, colors) == reference_relabel(t, colors)
 
     def test_missing_color_rejected(self):
         with pytest.raises(ValueError):

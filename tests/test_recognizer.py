@@ -256,11 +256,16 @@ class TestVerifyTrace:
             {"ws": (1, 2, 3)},
             {"case": "b"},
             {"y_prime_has_u": True},
+            {"v": -1},
+            {"v": 4},
+            {"u": -1},
+            {"u": 4},
         ],
     )
     def test_corrupted_step(self, change):
         # wrong ell; a root missing; u in place of a root; u as an extra
-        # root; the wrong case; u kept in a case-"a" Y'
+        # root; the wrong case; u kept in a case-"a" Y'; v or u outside
+        # 0..n-1, which must fail the check, not wrap or raise
         tr = triple_for_tree(K13C1)
         ok, trace = decide_in_S(tr)
         assert ok and trace.steps[0].ws == (1, 2) and trace.steps[0].u == 3
