@@ -21,7 +21,7 @@ from typing import Optional
 from . import __version__
 from .gadget import CnfFormula, build_gadget, verify_gadget
 from .generator import OpStep, base_triples, enumerate_T, random_member, replay
-from .graphs import Graph, Tree, format_edge_list, parse_edge_list, to_dot
+from .graphs import Graph, Tree, format_edge_list, parse_edge_list, to_dot, vertex_subset
 from .recognizer import ReductionTrace, Triple, decide_in_S, triple_for_tree, verify_trace
 from .solver import solve_report
 from .treedp import gamma_R_tree
@@ -52,21 +52,12 @@ def _emit(obj) -> None:
     sys.stdout.write(_dump(obj) + "\n")
 
 
-def _parse_x_spec(spec: str, n: int) -> frozenset[int]:
+def _parse_x_spec(spec: str, t: Tree) -> frozenset[int]:
     if spec == "all":
-        return frozenset(range(n))
+        return frozenset(range(t.n))
     if spec == "none":
         return frozenset()
-    out = set()
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        v = int(tok)
-        if not (0 <= v < n):
-            raise ValueError(f"x lists vertex {v} outside 0..{n - 1}")
-        out.add(v)
-    return frozenset(out)
+    return vertex_subset(t, (int(tok) for tok in map(str.strip, spec.split(",")) if tok), "x")
 
 
 def _triple_json(tr: Triple) -> dict:
@@ -96,7 +87,7 @@ def _read(path: str) -> str:
 
 def _solve_result(inp: dict) -> tuple[dict, Tree]:
     t = Tree.from_graph(parse_edge_list(inp["graph"]))
-    x = _parse_x_spec(inp["x"], t.n)
+    x = _parse_x_spec(inp["x"], t)
     if inp["method"] == "dp-rdf":
         return {"method": "dp-rdf", "gamma_R": gamma_R_tree(t, x)}, t
     return {"method": "oracle", **solve_report(t, x).to_json_dict()}, t

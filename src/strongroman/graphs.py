@@ -4,7 +4,10 @@ Vertices are always the integers ``0 .. n-1``.  Labels, when present, are
 cosmetic metadata and never participate in equality or canonical forms.
 This module owns the primitives the other modules share: the adjacency
 tuples, the one breadth-first traversal (``rooted``) and the vertex-range
-check on vertex sets (``vertex_subset``).
+check on vertex sets (``vertex_subset``).  A tree keeps the traversal from
+vertex 0 that certified it (``Tree.walk``), so passes rooted there do not
+walk it again.  The edge-list parser reads all edges in bulk and lets
+``Graph`` check them; it walks the lines one by one only to name a bad one.
 """
 
 from __future__ import annotations
@@ -136,11 +139,12 @@ class Graph:
 def rooted(g: Graph, root: int) -> tuple[list[int], list[int]]:
     """Parent of every vertex reached from ``root`` (the root is its own,
     any other vertex -1) and the reached vertices in breadth-first order."""
+    adj = g._adj
     parent = [-1] * g.n
     order = [root]
     parent[root] = root
     for v in order:
-        for u in g.neighbors(v):
+        for u in adj[v]:
             if parent[u] == -1:
                 parent[u] = v
                 order.append(u)
@@ -161,57 +165,50 @@ def is_tree(g: Graph) -> bool:
     return len(g.edges) == g.n - 1 and len(rooted(g, 0)[1]) == g.n
 
 
-def _require_tree(g: Graph) -> None:
-    if not is_tree(g):
-        raise NotATreeError(f"graph on {g.n} vertices with {len(g.edges)} edges is not a tree")
+def _certified_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``rooted(g, 0)`` as tuples, once it shows that ``g`` is a tree."""
+    if len(g.edges) == g.n - 1:
+        parent, order = rooted(g, 0)
+        if len(order) == g.n:
+            return tuple(parent), tuple(order)
+    raise NotATreeError(f"graph on {g.n} vertices with {len(g.edges)} edges is not a tree")
 
 
 class Tree(Graph):
-    """A graph certified connected and acyclic at construction time."""
+    """A graph certified connected and acyclic at construction time.
 
-    __slots__ = ()
+    ``walk`` keeps the certifying traversal, ``rooted(t, 0)`` as a pair of
+    tuples, for the passes that root the tree at vertex 0.
+    """
+
+    __slots__ = ("walk",)
 
     def __init__(self, n, edges=(), labels=None):
         super().__init__(n, edges, labels)
-        _require_tree(self)
+        object.__setattr__(self, "walk", _certified_walk(self))
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Tree":
         """``g`` as a tree, sharing its validated immutable structure."""
-        _require_tree(g)
+        walk = _certified_walk(g)
         t = object.__new__(cls)
         for name in ("n", "edges", "_adj"):
             object.__setattr__(t, name, getattr(g, name))
         object.__setattr__(t, "labels", None if g.labels is None else dict(g.labels))
+        object.__setattr__(t, "walk", walk)
         return t
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format.
+def _numbered(raw: list[str]) -> list[tuple[int, str]]:
+    """Each line that is neither blank nor a comment, stripped, with its number."""
+    return [(i, s) for i, s in enumerate(map(str.strip, raw), 1) if s and s[0] != "#"]
 
-    The first meaningful line is ``n m``; the next ``m`` lines are ``a b``
-    edges with ``0 <= a, b < n`` and ``a != b``.  Blank lines and lines
-    starting with ``#`` are skipped.
-    """
-    stripped = (s.strip() for s in text.splitlines())
-    lines = [(i, s) for i, s in enumerate(stripped, 1) if s and s[0] != "#"]
-    if not lines:
-        raise MalformedLineError("empty input, expected a header line 'n m'")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise MalformedLineError(f"line {lineno}: expected header 'n m', got {header!r}")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise MalformedLineError(f"line {lineno}: non-integer header {header!r}") from None
-    if n < 1 or m < 0:
-        raise MalformedLineError(f"line {lineno}: invalid sizes n={n}, m={m}")
-    body = lines[1:]
-    if len(body) != m:
-        raise MalformedLineError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
-    for lineno, line in body:
+
+def _raise_first_bad_line(raw: list[str], n: int) -> None:
+    """Check the edge lines one by one and raise for the first bad one in line
+    order, naming its line; return when every line is an edge of two distinct
+    vertices of ``0 .. n-1``."""
+    for lineno, line in _numbered(raw)[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise MalformedLineError(f"line {lineno}: expected 'a b', got {line!r}")
@@ -223,8 +220,38 @@ def parse_edge_list(text: str) -> Graph:
             raise VertexRangeError(f"line {lineno}: edge ({a},{b}) leaves the vertex range 0..{n - 1}")
         if a == b:
             raise SelfLoopError(f"line {lineno}: self-loop at vertex {a}")
-        edges.append((a, b))
-    return Graph(n, edges)
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the plain edge-list format.
+
+    The first meaningful line is ``n m``; the next ``m`` lines are ``a b``
+    edges with ``0 <= a, b < n`` and ``a != b``.  Blank lines and lines
+    starting with ``#`` are skipped.  The edges are read in bulk and checked
+    by ``Graph``; only when that fails are the lines walked again, to name
+    the first bad one.
+    """
+    raw = text.splitlines()
+    lines = [s for s in map(str.strip, raw) if s and s[0] != "#"]
+    if not lines:
+        raise MalformedLineError("empty input, expected a header line 'n m'")
+    header, body = lines[0], lines[1:]
+    parts = header.split()
+    if len(parts) != 2:
+        raise MalformedLineError(f"line {_numbered(raw)[0][0]}: expected header 'n m', got {header!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MalformedLineError(f"line {_numbered(raw)[0][0]}: non-integer header {header!r}") from None
+    if n < 1 or m < 0:
+        raise MalformedLineError(f"line {_numbered(raw)[0][0]}: invalid sizes n={n}, m={m}")
+    if len(body) != m:
+        raise MalformedLineError(f"expected {m} edge lines, found {len(body)}")
+    try:
+        return Graph(n, [(int(a), int(b)) for a, b in map(str.split, body)])
+    except ValueError:
+        _raise_first_bad_line(raw, n)
+        raise
 
 
 def format_edge_list(g: Graph) -> str:

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Optional
 
-from .graphs import Split, Tree, canonical_relabel, longest_x_path, rooted, split_at
+from .graphs import Split, Tree, canonical_relabel, longest_x_path, rooted, split_at, vertex_subset
 
 # Vertex colors for canonical forms: outside both sets, in Y only, in X
 # (membership in X forces membership in Y, so three colors suffice).
@@ -65,11 +65,9 @@ class Triple:
     def __post_init__(self):
         object.__setattr__(self, "x", frozenset(self.x))
         object.__setattr__(self, "y", frozenset(self.y))
-        vs = set(self.tree.vertices())
         if not self.x <= self.y:
             raise ValueError("x must be a subset of y")
-        if not self.y <= vs:
-            raise ValueError("y contains vertices outside the tree")
+        vertex_subset(self.tree, self.y, "y")
 
     @property
     def n(self) -> int:
@@ -356,11 +354,11 @@ def configurations(tr: Triple) -> list[tuple[int, int]]:
     neighbor w of v lies in Y with exactly one Y-vertex in its branch (which,
     as X <= Y, also gives the configuration premise), and ell, the number of
     those w in X, is at least three, or two with u in X.  A branch's Y-count
-    is a subtree count from one rooted traversal, or |Y| minus the count on
-    the other side of the edge.
+    is a subtree count over the tree's certifying walk from vertex 0, or |Y|
+    minus the count on the other side of the edge.
     """
     t, x, y = tr.tree, tr.x, tr.y
-    parent, order = rooted(t, 0)
+    parent, order = t.walk
     below = [0] * t.n  # Y-vertices in the subtree of each vertex
     for w in reversed(order):
         below[w] += w in y

@@ -1,17 +1,18 @@
 """Linear-time Roman domination on trees.
 
 Standard rooted dynamic program with four states per vertex; vertices outside
-the constrained set may stay at value 0 without ever being dominated.
+the constrained set may stay at value 0 without ever being dominated.  It is
+one push-style pass over a breadth-first walk, in reverse: each vertex folds
+the sums its children pushed into three flat lists, then pushes its own terms
+into its parent's entries.  At the default root the walk is the one that
+certified the tree (``Tree.walk``), so no traversal is repeated.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from .graphs import Tree, rooted, vertex_subset
-
-_INF = math.inf
 
 
 # A vertex's state is the minimum weight of its branch in each of four cases:
@@ -19,41 +20,7 @@ _INF = math.inf
 # state is only usable under a value-2 parent when the vertex is constrained,
 # and at the root only when it is not.  A branch hands its parent three terms:
 # its best under any parent, its best under a parent of value below 2, and the
-# extra cost of making it the 2 its parent leans on.
-
-
-def _combine(any_sum, no2_sum, pen, constrained: bool) -> tuple:
-    """A vertex's terms from the summed terms of its branches below and their
-    least penalty.  At the root, the second term is the tree's minimum weight.
-    """
-    # States 2, 1, 0 with a 2-child and 0 unclaimed weigh 2 + any_sum,
-    # 1 + no2_sum, no2_sum + pen and no2_sum.
-    s2 = 2 + any_sum
-    claimed = 1 + no2_sum
-    if s2 < claimed:
-        claimed = s2
-    if no2_sum + pen < claimed:
-        claimed = no2_sum + pen
-    any_parent = no2_sum if no2_sum < claimed else claimed
-    no2_parent = claimed if constrained else any_parent
-    return any_parent, no2_parent, s2 - no2_parent
-
-
-def _down_terms(t: Tree, xset: frozenset[int], parent: list[int], order: list[int]) -> list:
-    """Per vertex, the terms of its subtree below the root of ``order``."""
-    terms = [None] * t.n
-    for v in reversed(order):
-        any_sum = no2_sum = 0
-        pen = _INF
-        for c in t.neighbors(v):
-            if parent[c] == v:
-                a, b, p = terms[c]
-                any_sum += a
-                no2_sum += b
-                if p < pen:
-                    pen = p
-        terms[v] = _combine(any_sum, no2_sum, pen, v in xset)
-    return terms
+# extra cost of making it the 2 its parent leans on (its penalty).
 
 
 def gamma_R_tree(t: Tree, x: Iterable[int], *, root: int = 0) -> int:
@@ -65,5 +32,28 @@ def gamma_R_tree(t: Tree, x: Iterable[int], *, root: int = 0) -> int:
     xset = vertex_subset(t, x, "x")
     if not (0 <= root < t.n):
         raise ValueError(f"root {root} out of range")
-    parent, order = rooted(t, root)
-    return int(_down_terms(t, xset, parent, order)[root][1])
+    parent, order = t.walk if root == 0 else rooted(t, root)
+    constrained = bytearray(t.n)
+    for v in xset:
+        constrained[v] = 1
+    # Per vertex, the summed terms of its branches below, and the weight its
+    # states 1 and 0-with-a-2-child add to the no-2 sum: 1, or the least
+    # penalty of a branch when that is smaller.
+    any_sum = [0] * t.n
+    no2_sum = [0] * t.n
+    least = [1] * t.n
+    for v in reversed(order):
+        b = no2_sum[v]
+        s2 = 2 + any_sum[v]
+        claimed = b + least[v]
+        if s2 < claimed:
+            claimed = s2
+        any_parent = b if b < claimed else claimed
+        no2_parent = claimed if constrained[v] else any_parent
+        p = parent[v]
+        any_sum[p] += any_parent
+        no2_sum[p] += no2_parent
+        if s2 - no2_parent < least[p]:
+            least[p] = s2 - no2_parent
+    # the root comes last, and its second term is the tree's minimum weight
+    return no2_parent

@@ -7,17 +7,68 @@ that equals Y*(T', X'), the vertices that see a 2 under some minimum Roman
 function, which the rerooting pass below computes; ``explore_both`` instead
 decides both Y' candidates.  Steps carry the old trace fields, the child's
 canonical key included.  The tests use both as references for the decider.
+
+The rerooting pass stands on the pull-style Roman tree DP that
+``treedp.gamma_R_tree`` replaced (``_down_terms``), which the tests also
+compare ``gamma_R_tree`` with.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from strongroman.graphs import Tree, rooted, vertex_subset
 from strongroman.recognizer import Triple, _classify, find_locus
-from strongroman.treedp import _INF, _combine, _down_terms
 
 ChainStep = namedtuple("ChainStep", "u v ws ell case y_prime_has_u child_canonical")
+
+_INF = math.inf
+
+
+# -- the pull-style Roman tree DP ------------------------------------------------
+
+
+# A vertex's state is the minimum weight of its branch in each of four cases:
+# value 2, value 1, value 0 with a 2-child, value 0 unclaimed.  The unclaimed
+# state is only usable under a value-2 parent when the vertex is constrained,
+# and at the root only when it is not.  A branch hands its parent three terms:
+# its best under any parent, its best under a parent of value below 2, and the
+# extra cost of making it the 2 its parent leans on.
+
+
+def _combine(any_sum, no2_sum, pen, constrained: bool) -> tuple:
+    """A vertex's terms from the summed terms of its branches below and their
+    least penalty.  At the root, the second term is the tree's minimum weight.
+    """
+    # States 2, 1, 0 with a 2-child and 0 unclaimed weigh 2 + any_sum,
+    # 1 + no2_sum, no2_sum + pen and no2_sum.
+    s2 = 2 + any_sum
+    claimed = 1 + no2_sum
+    if s2 < claimed:
+        claimed = s2
+    if no2_sum + pen < claimed:
+        claimed = no2_sum + pen
+    any_parent = no2_sum if no2_sum < claimed else claimed
+    no2_parent = claimed if constrained else any_parent
+    return any_parent, no2_parent, s2 - no2_parent
+
+
+def _down_terms(t: Tree, xset: frozenset[int], parent: list[int], order: list[int]) -> list:
+    """Per vertex, the terms of its subtree below the root of ``order``."""
+    terms = [None] * t.n
+    for v in reversed(order):
+        any_sum = no2_sum = 0
+        pen = _INF
+        for c in t.neighbors(v):
+            if parent[c] == v:
+                a, b, p = terms[c]
+                any_sum += a
+                no2_sum += b
+                if p < pen:
+                    pen = p
+        terms[v] = _combine(any_sum, no2_sum, pen, v in xset)
+    return terms
 
 
 # -- Y* by rerooting the Roman tree DP -----------------------------------------

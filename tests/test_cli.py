@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -62,6 +63,9 @@ class TestSolve:
         assert code == 0 and cert["result"]["gamma_r"] == 2
         code, (err,) = run_json(capsys, ["solve", star_file, "--x", "9"])
         assert code == 2 and "error" in err
+        code, (err,) = run_json(capsys, ["solve", star_file, "--x", "0,99"])
+        assert code == 2
+        assert err["error"] == {"type": "ValueError", "message": "x contains vertex 99 outside 0..3"}
 
     def test_determinism(self, capsys, star_file):
         run(["solve", star_file])
@@ -155,6 +159,19 @@ class TestVerifyCommand:
         code, (res,) = run_json(capsys, ["verify", str(cert_path)])
         assert code == 0 and res["verified"] is True
         return json.loads(out)
+
+    def test_dp_rdf_roundtrip_at_scale(self, capsys, tmp_path):
+        # P_n under a random relabelling and edge order; gamma_R = ceil(2n/3)
+        n = 100_000
+        perm = list(range(n))
+        rng = random.Random(3)
+        rng.shuffle(perm)
+        lines = [f"{perm[i]} {perm[i + 1]}" if rng.random() < 0.5 else f"{perm[i + 1]} {perm[i]}" for i in range(n - 1)]
+        rng.shuffle(lines)
+        p = tmp_path / "path.txt"
+        p.write_text(f"{n} {n - 1}\n" + "\n".join(lines) + "\n")
+        cert = self._roundtrip(capsys, tmp_path, ["solve", str(p), "--method", "dp-rdf"])
+        assert cert["result"] == {"method": "dp-rdf", "gamma_R": -(-2 * n // 3)}
 
     def test_all_kinds_roundtrip(self, capsys, tmp_path, star_file, p2_file, cnf_file):
         self._roundtrip(capsys, tmp_path, ["solve", star_file])

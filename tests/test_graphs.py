@@ -18,12 +18,15 @@ from strongroman.graphs import (
     is_tree,
     longest_x_path,
     parse_edge_list,
+    rooted,
     split_at,
     to_dot,
 )
+from strongroman.recognizer import triple_for_tree
 
 from conftest import caterpillar, prufer_tree, trees_of_order
 from reference_canon import canonical_relabel as reference_relabel
+from reference_parse import parse_edge_list as reference_parse
 
 P3 = Tree(3, [(0, 1), (1, 2)])
 P4 = Tree(4, [(0, 1), (1, 2), (2, 3)])
@@ -76,6 +79,89 @@ class TestParse:
         assert parse_edge_list(text) == K13
 
 
+def _path_text(n, faults=(), sep="\n"):
+    """P_n as edge-list text, with edge line ``i`` (from 1) replaced by
+    ``faults[i]`` where given."""
+    faults = dict(faults)
+    lines = [faults.get(i + 1, f"{i} {i + 1}") for i in range(n - 1)]
+    return sep.join([f"{n} {n - 1}"] + lines) + sep
+
+
+# Inputs the old per-line parser rejected, each with the error it raised.
+MALFORMED = {
+    "empty": "",
+    "only comments": "# nothing\n\n   # more\n",
+    "bad header": "banana",
+    "header with three tokens": "3 2 1\n0 1\n1 2\n",
+    "non-integer header": "three 2\n0 1\n1 2\n",
+    "float header": "3.0 2\n0 1\n1 2\n",
+    "n zero": "0 0\n",
+    "n negative": "-2 0\n",
+    "m negative": "3 -1\n",
+    "header after comments": "# c\n\n\t# d\nx y\n",
+    "fewer edge lines than m": "3 2\n0 1\n",
+    "more edge lines than m": "3 1\n0 1\n1 2\n",
+    "three tokens": _path_text(40, {31: "30 31 7"}),
+    "one token": _path_text(40, {31: "30"}),
+    "non-integer token": _path_text(40, {31: "30 x"}),
+    "float token": _path_text(40, {31: "30 31.0"}),
+    "out of range late": _path_text(40, {37: "36 40"}),
+    "negative endpoint late": _path_text(40, {37: "-1 36"}),
+    "self-loop late": _path_text(40, {38: "17 17"}),
+    "duplicate late": _path_text(40, {39: "3 2"}),
+    "duplicate then cycle": "4 3\n0 1\n1 0\n2 3\n",
+    "range before non-integer": _path_text(40, {5: "4 99", 30: "29 a"}),
+    "self-loop before range": _path_text(40, {5: "4 4", 30: "29 99"}),
+    "range before self-loop": _path_text(40, {5: "4 99", 30: "29 29"}),
+    "three tokens before range": _path_text(40, {5: "4 5 6", 30: "29 99"}),
+    "duplicate before self-loop": _path_text(40, {5: "3 4", 30: "29 29"}),
+    "non-integer before duplicate": _path_text(40, {5: "4 b", 30: "28 29"}),
+    "crlf with range fault": _path_text(10, {9: "8 10"}, sep="\r\n"),
+    "tabs, comments and blanks": "# tree\n\n3\t2\n\t0 1\n\n  # edge two\n1\t 3\n",
+}
+
+# Inputs both parsers accept.
+WELL_FORMED = {
+    "single vertex": "1 0",
+    "tabs, comments and blanks": "# a star\n\n4\t3\n\t0 1 \n# between\n\n0\t2\n   # indented\n 3 0\n\n",
+    "crlf": "3 2\r\n0 1\r\n2 1\r\n",
+    "not a tree": "4 2\n0 1\n2 3\n",
+    "long path": _path_text(500),
+}
+
+
+class TestParseMatchesReference:
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_same_error(self, text):
+        with pytest.raises(ValueError) as ref:
+            reference_parse(text)
+        with pytest.raises(ValueError) as got:
+            parse_edge_list(text)
+        assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
+
+    @pytest.mark.parametrize("text", WELL_FORMED.values(), ids=WELL_FORMED.keys())
+    def test_same_graph(self, text):
+        got, ref = parse_edge_list(text), reference_parse(text)
+        assert got == ref and got.labels is None
+        assert all(got.neighbors(v) == ref.neighbors(v) for v in got.vertices())
+
+    def test_random_corruptions(self):
+        rng = random.Random(99)
+        tokens = ("0", "1", "-1", "x", "1.5", "#", "7 7", "")
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            lines = [f"{a} {b}" for a, b in prufer_tree(n, rng).edges]
+            lines.insert(0, f"{n} {n - 1}")
+            for _ in range(rng.choice((0, 1, 2, 3))):
+                k = rng.randrange(len(lines) + 1)
+                if rng.random() < 0.5 and k < len(lines):
+                    lines[k] = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 3)))
+                else:
+                    lines.insert(k, rng.choice((f"{rng.randint(-1, n)} {rng.randint(-1, n)}", "", "# c")))
+            text = rng.choice(("\n", "\r\n")).join(lines)
+            assert outcome(parse_edge_list, text) == outcome(reference_parse, text), text
+
+
 class TestTreeBasics:
     def test_is_tree(self):
         assert is_tree(Graph(2, [(0, 1)]))
@@ -96,6 +182,34 @@ class TestTreeBasics:
     def test_dot_export(self):
         dot = to_dot(Graph(2, [(0, 1)], labels={0: "a"}))
         assert "0 -- 1;" in dot and 'label="a"' in dot
+
+
+class TestKeptWalk:
+    @staticmethod
+    def assert_kept(t):
+        parent, order = t.walk
+        assert type(parent) is tuple and type(order) is tuple
+        assert (list(parent), list(order)) == rooted(t, 0)
+
+    def test_every_way_to_build_a_tree(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(1, 30)
+            edges = list(prufer_tree(n, rng).edges)
+            rng.shuffle(edges)
+            t = Tree(n, edges)
+            self.assert_kept(t)
+            self.assert_kept(Tree.from_graph(Graph(n, edges)))
+            self.assert_kept(triple_for_tree(t).canonicalized()[0].tree)
+            if n > 1:
+                v, u = edges[0]
+                self.assert_kept(split_at(t, v, u).t_prime)
+
+    def test_walk_is_read_only(self):
+        with pytest.raises(AttributeError):
+            P3.walk = ((0, 0, 1), (0, 1, 2))
+        with pytest.raises(TypeError):
+            P3.walk[0][1] = 2
 
 
 def reference_graph(n, edges, labels=None):

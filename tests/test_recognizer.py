@@ -40,6 +40,11 @@ class TestTriple:
         with pytest.raises(ValueError):
             Triple(P4, frozenset(), frozenset({9}))
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_y_outside_the_vertex_range(self, bad):
+        with pytest.raises(ValueError, match=rf"^y contains vertex {bad} outside 0\.\.3$"):
+            Triple(P4, frozenset({0}), frozenset({0, 1, bad}))
+
     def test_canonical_key_is_isomorphism_invariant(self):
         a = Triple(Tree(3, [(0, 1), (1, 2)]), frozenset({0}), frozenset({0, 1}))
         b = Triple(Tree(3, [(2, 1), (1, 0)]), frozenset({2}), frozenset({2, 1}))

@@ -4,13 +4,13 @@ import time
 
 import pytest
 
-from strongroman.graphs import Tree
+from strongroman.graphs import Tree, rooted
 from strongroman.roman import Assignment, is_rdf
 from strongroman.solver import gamma_R, solve_report
 from strongroman.treedp import gamma_R_tree
 
 from conftest import prufer_tree, subsets, trees_of_order
-from reference_chain import forced_two_weights, two_neighbourhood
+from reference_chain import _down_terms, forced_two_weights, two_neighbourhood
 
 K1 = Tree(1, ())
 P3 = Tree(3, [(0, 1), (1, 2)])
@@ -91,6 +91,22 @@ def test_closed_forms_at_ten_thousand(n, edges, expected):
     t = relabelled(n, edges, seed=11)
     assert gamma_R_tree(t, range(n)) == expected
     assert gamma_R_tree(t, range(n), root=n - 1) == expected
+    for root in (0, n - 1):
+        assert pull_reference(t, range(n), root) == expected
+
+
+def pull_reference(t, x, root):
+    """The pull-style DP that ``gamma_R_tree`` replaced, rooted at ``root``."""
+    return _down_terms(t, frozenset(x), *rooted(t, root))[root][1]
+
+
+def test_matches_pull_reference_at_every_root():
+    rng = random.Random(44)
+    for i in range(120):
+        t = prufer_tree(rng.randint(1, 60), rng)
+        x = range(t.n) if i % 2 else frozenset(v for v in range(t.n) if rng.random() < rng.random())
+        for root in range(t.n):
+            assert gamma_R_tree(t, x, root=root) == pull_reference(t, x, root)
 
 
 def naive_forced_two_weights(t: Tree, x) -> list:
