@@ -23,24 +23,13 @@ from .graphs import (
     canonical_relabel,
     format_edge_list,
     is_tree,
-    longest_x_path,
     parse_edge_list,
-    split_at,
 )
-from .recognizer import (
-    ReductionLocus,
-    ReductionTrace,
-    Triple,
-    decide_in_S,
-    find_locus,
-    verify_trace,
-)
+from .recognizer import ReductionTrace, Triple, decide_in_S, verify_trace
 from .roman import Assignment, is_rdf, is_wrdf, is_wrdf_x, is_x_dominating, move
 from .solver import (
-    DEFAULT_LIMITS,
     SizeCapError,
     SolveReport,
-    SolverLimits,
     compute_Y,
     enumerate_minimum_wrdfs,
     gamma_R,
@@ -54,16 +43,13 @@ from .treedp import gamma_R_tree
 __all__ = [
     "Assignment",
     "CnfFormula",
-    "DEFAULT_LIMITS",
     "GadgetGraph",
     "GadgetReport",
     "Graph",
     "OpStep",
-    "ReductionLocus",
     "ReductionTrace",
     "SizeCapError",
     "SolveReport",
-    "SolverLimits",
     "Tree",
     "Triple",
     "apply_op",
@@ -75,7 +61,6 @@ __all__ = [
     "decide_in_S",
     "enumerate_T",
     "enumerate_minimum_wrdfs",
-    "find_locus",
     "format_edge_list",
     "gamma_R",
     "gamma_R_tree",
@@ -86,13 +71,11 @@ __all__ = [
     "is_wrdf",
     "is_wrdf_x",
     "is_x_dominating",
-    "longest_x_path",
     "move",
     "parse_edge_list",
     "random_member",
     "sat_brute_force",
     "solve_report",
-    "split_at",
     "strongly_equal",
     "verify_gadget",
     "verify_trace",

@@ -189,10 +189,17 @@ def _recheck_recognize(cert: dict) -> bool:
 
 
 def _recheck_generate(cert: dict) -> bool:
+    """Replay the step list from the base; a base or step that does not
+    rebuild (an unknown operation, an inapplicable anchor, a non-integer
+    vertex) fails the check like any other mismatch."""
     result = cert["result"]
-    steps = [OpStep.from_json_dict(s) for s in result["steps"]]
-    base = _triple_from_json(result["base"])
-    return _same(_generate_result(base, steps, replay(steps, base)), result)
+    try:
+        steps = [OpStep.from_json_dict(s) for s in result["steps"]]
+        base = _triple_from_json(result["base"])
+        triple = replay(steps, base)
+    except (TypeError, ValueError):
+        return False
+    return _same(_generate_result(base, steps, triple), result)
 
 
 _RECHECKERS = {

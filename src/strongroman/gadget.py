@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .solver import DEFAULT_LIMITS, SizeCapError, SolverLimits, gamma_R, gamma_r
+from .solver import SizeCapError, gamma_R, gamma_r
 
 Literal = tuple[int, bool]  # (variable index, polarity)
 
@@ -161,10 +161,10 @@ def build_gadget(f: CnfFormula) -> GadgetGraph:
     return GadgetGraph(graph=Graph(n, edges, labels), n_vars=f.n_vars, n_clauses=f.n_clauses)
 
 
-def sat_brute_force(f: CnfFormula, *, cap: int = SAT_VARS_CAP) -> bool:
+def sat_brute_force(f: CnfFormula) -> bool:
     """Exhaustive satisfiability over all truth assignments."""
-    if f.n_vars > cap:
-        raise SizeCapError(f"{f.n_vars} variables exceeds the cap {cap}")
+    if f.n_vars > SAT_VARS_CAP:
+        raise SizeCapError(f"{f.n_vars} variables exceeds the cap {SAT_VARS_CAP}")
     for bits in range(1 << f.n_vars):
         if all(any((bits >> v & 1) == p for v, p in clause) for clause in f.clauses):
             return True
@@ -191,7 +191,7 @@ class GadgetReport:
         }
 
 
-def verify_gadget(f: CnfFormula, limits: SolverLimits = DEFAULT_LIMITS) -> GadgetReport:
+def verify_gadget(f: CnfFormula) -> GadgetReport:
     """Exhaustively check the construction's quantitative guarantees on ``f``.
 
     The weak number must equal twice the variable count, and the two numbers
@@ -208,8 +208,8 @@ def verify_gadget(f: CnfFormula, limits: SolverLimits = DEFAULT_LIMITS) -> Gadge
     gg = build_gadget(f)
     g = gg.graph
     x = range(g.n)
-    gr = gamma_r(g, x, (), limits)
-    gR = gamma_R(g, x, limits)
+    gr = gamma_r(g, x)
+    gR = gamma_R(g, x)
     sat = sat_brute_force(f)
     if gr != 2 * f.n_vars:
         raise GadgetConsistencyError(

@@ -164,7 +164,7 @@ def applicable_steps(tr: Triple, max_order: int) -> Iterator[OpStep]:
                     yield OpStep(3, u, variant)
 
 
-def enumerate_T(n_max: int, *, cap: int = ENUMERATION_ORDER_CAP) -> dict[str, Triple]:
+def enumerate_T(n_max: int) -> dict[str, Triple]:
     """Closure of the seeds under the operations, up to ``n_max`` vertices.
 
     Returns one canonically labelled representative per canonical form,
@@ -173,8 +173,8 @@ def enumerate_T(n_max: int, *, cap: int = ENUMERATION_ORDER_CAP) -> dict[str, Tr
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if n_max > cap:
-        raise SizeCapError(f"n_max {n_max} exceeds the configured cap {cap}")
+    if n_max > ENUMERATION_ORDER_CAP:
+        raise SizeCapError(f"n_max {n_max} exceeds the configured cap {ENUMERATION_ORDER_CAP}")
     members: dict[str, Triple] = {}
     queue: deque[Triple] = deque()
     for seed in base_triples():
@@ -192,11 +192,7 @@ def enumerate_T(n_max: int, *, cap: int = ENUMERATION_ORDER_CAP) -> dict[str, Tr
     return members
 
 
-class GrowthRetryError(RuntimeError):
-    """The random grower did not reach the requested order within its budget."""
-
-
-def random_member(n: int, seed: int, *, max_retries: int = 64) -> tuple[Triple, list[OpStep]]:
+def random_member(n: int, seed: int) -> tuple[Triple, list[OpStep]]:
     """A pseudo-random member of order exactly ``n`` with its growth recipe.
 
     Deterministic for a fixed seed.  Growth starts from the unconstrained
@@ -208,22 +204,18 @@ def random_member(n: int, seed: int, *, max_retries: int = 64) -> tuple[Triple, 
     if n < 1:
         raise ValueError("order must be at least 1")
     rng = random.Random(seed)
-    empty, full = base_triples()
+    tr, full = base_triples()
     if n == 1:
-        return rng.choice((empty, full)), []
-    for _ in range(max_retries):
-        tr = empty
-        steps: list[OpStep] = []
-        while tr.n < n:
-            candidates = list(applicable_steps(tr, n))
-            if not candidates:
-                break
-            step = rng.choice(candidates)
-            tr = apply_op(tr, step)
-            steps.append(step)
-        if tr.n == n:
-            return tr, steps
-    raise GrowthRetryError(f"no member of order {n} reached after {max_retries} attempts")
+        return rng.choice((tr, full)), []
+    # Growth never dead-ends: a grown member has X empty (then Y is empty
+    # and operation 1 fits) or |X| >= 3 (then it has a configuration, and
+    # operation 4 fits at its cut vertex).
+    steps: list[OpStep] = []
+    while tr.n < n:
+        step = rng.choice(list(applicable_steps(tr, n)))
+        tr = apply_op(tr, step)
+        steps.append(step)
+    return tr, steps
 
 
 def replay(steps: Iterable[OpStep], start: Optional[Triple] = None) -> Triple:

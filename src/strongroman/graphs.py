@@ -260,9 +260,9 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
+def to_dot(g: Graph) -> str:
     """Plain structural DOT export, no layout or styling decisions."""
-    out = [f"graph {name} {{"]
+    out = ["graph G {"]
     for v in g.vertices():
         label = g.label_of(v)
         out.append(f'  {v} [label="{label}"];' if label is not None else f"  {v};")

@@ -482,8 +482,7 @@ def verify_trace(tr: Triple, trace: ReductionTrace) -> bool:
     return ok and marker == trace.base
 
 
-def triple_for_tree(t: Tree, x: Optional[Iterable[int]] = None, y: Optional[Iterable[int]] = None) -> Triple:
-    """Convenience constructor; defaults to the headline query X = Y = V."""
-    xs = frozenset(range(t.n)) if x is None else frozenset(x)
-    ys = frozenset(range(t.n)) if y is None else frozenset(y)
-    return Triple(t, xs, ys)
+def triple_for_tree(t: Tree) -> Triple:
+    """The headline query X = Y = V."""
+    vs = frozenset(range(t.n))
+    return Triple(t, vs, vs)

@@ -17,18 +17,12 @@ from .roman import Assignment
 
 
 class SizeCapError(ValueError):
-    """An input exceeds the configured exhaustive-search cap."""
+    """An input exceeds an exhaustive-search cap; nothing is truncated."""
 
 
-@dataclass(frozen=True)
-class SolverLimits:
-    """Size caps; exceeding one raises :class:`SizeCapError`, never truncates."""
-
-    value_cap: int = 18
-    enumeration_cap: int = 14
-
-
-DEFAULT_LIMITS = SolverLimits()
+# Largest orders the value queries and the minimum-set enumeration accept.
+VALUE_CAP = 18
+ENUMERATION_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -177,20 +171,15 @@ def _require_cap(g: Graph, cap: int):
         raise SizeCapError(f"graph order {g.n} exceeds the configured cap {cap}")
 
 
-def gamma_R(g: Graph, x: Iterable[int], limits: SolverLimits = DEFAULT_LIMITS) -> int:
+def gamma_R(g: Graph, x: Iterable[int]) -> int:
     """Minimum weight of an assignment where value-0 vertices of ``x`` see a 2."""
-    _require_cap(g, limits.value_cap)
+    _require_cap(g, VALUE_CAP)
     return _gamma_R_bits(_BitGraph(g), sum(1 << v for v in vertex_subset(g, x, "x")))
 
 
-def gamma_r(
-    g: Graph,
-    x0: Iterable[int],
-    x1: Iterable[int] = (),
-    limits: SolverLimits = DEFAULT_LIMITS,
-) -> int:
+def gamma_r(g: Graph, x0: Iterable[int], x1: Iterable[int] = ()) -> int:
     """Minimum weight of a weak Roman dominating function for ``(g, x0, x1)``."""
-    _require_cap(g, limits.value_cap)
+    _require_cap(g, VALUE_CAP)
     bg = _BitGraph(g)
     m0 = sum(1 << v for v in vertex_subset(g, x0, "x0"))
     m1 = sum(1 << v for v in vertex_subset(g, x1, "x1"))
@@ -208,11 +197,9 @@ def _minimum_wrdfs_masks(g: Graph, x0m: int, x1m: int):
     return bg, bound, best, minima
 
 
-def enumerate_minimum_wrdfs(
-    g: Graph, x: Iterable[int], limits: SolverLimits = DEFAULT_LIMITS
-) -> list[Assignment]:
+def enumerate_minimum_wrdfs(g: Graph, x: Iterable[int]) -> list[Assignment]:
     """All minimum weak Roman dominating functions, lexicographic by digits."""
-    _require_cap(g, limits.enumeration_cap)
+    _require_cap(g, ENUMERATION_CAP)
     xm = sum(1 << v for v in vertex_subset(g, x, "x"))
     _, _, _, minima = _minimum_wrdfs_masks(g, xm, 0)
     out = []
@@ -224,11 +211,11 @@ def enumerate_minimum_wrdfs(
     return out
 
 
-def solve_report(g: Graph, x: Iterable[int], limits: SolverLimits = DEFAULT_LIMITS) -> SolveReport:
+def solve_report(g: Graph, x: Iterable[int]) -> SolveReport:
     """One-pass report: both domination numbers, the minimum weak functions,
     whether they are all Roman, and the set of coverable-or-rescuable vertices.
     """
-    _require_cap(g, limits.enumeration_cap)
+    _require_cap(g, ENUMERATION_CAP)
     xm = sum(1 << v for v in vertex_subset(g, x, "x"))
     bg, roman, best, minima = _minimum_wrdfs_masks(g, xm, 0)
     nbhd = bg.nbhd
@@ -255,28 +242,26 @@ def solve_report(g: Graph, x: Iterable[int], limits: SolverLimits = DEFAULT_LIMI
     )
 
 
-def compute_Y(t: Tree, x: Iterable[int], limits: SolverLimits = DEFAULT_LIMITS) -> frozenset[int]:
+def compute_Y(t: Tree, x: Iterable[int]) -> frozenset[int]:
     """Vertices that some minimum weak function covers or can rescue.
 
     This is well defined whether or not every minimum is Roman; together with
     ``x`` it pins down the unique candidate certificate set for membership
     checks.
     """
-    return solve_report(t, x, limits).y
+    return solve_report(t, x).y
 
 
-def in_S_oracle(
-    t: Tree, x: Iterable[int], limits: SolverLimits = DEFAULT_LIMITS
-) -> Optional[frozenset[int]]:
+def in_S_oracle(t: Tree, x: Iterable[int]) -> Optional[frozenset[int]]:
     """Definition-level membership test for the strongly-equal class.
 
     Returns the certificate set when every minimum weak Roman dominating
     function for ``(t, x)`` is Roman, else ``None``.
     """
-    report = solve_report(t, x, limits)
+    report = solve_report(t, x)
     return report.y if report.all_min_wrdfs_are_rdf else None
 
 
-def strongly_equal(t: Tree, limits: SolverLimits = DEFAULT_LIMITS) -> bool:
+def strongly_equal(t: Tree) -> bool:
     """True iff every minimum weak Roman dominating function of ``t`` is Roman."""
-    return in_S_oracle(t, range(t.n), limits) is not None
+    return in_S_oracle(t, range(t.n)) is not None

@@ -4,15 +4,15 @@ Standard rooted dynamic program with four states per vertex; vertices outside
 the constrained set may stay at value 0 without ever being dominated.  It is
 one push-style pass over a breadth-first walk, in reverse: each vertex folds
 the sums its children pushed into three flat lists, then pushes its own terms
-into its parent's entries.  At the default root the walk is the one that
-certified the tree (``Tree.walk``), so no traversal is repeated.
+into its parent's entries.  The walk is the one that certified the tree
+(``Tree.walk``, rooted at vertex 0), so no traversal is repeated.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Tree, rooted, vertex_subset
+from .graphs import Tree, vertex_subset
 
 
 # A vertex's state is the minimum weight of its branch in each of four cases:
@@ -23,16 +23,13 @@ from .graphs import Tree, rooted, vertex_subset
 # extra cost of making it the 2 its parent leans on (its penalty).
 
 
-def gamma_R_tree(t: Tree, x: Iterable[int], *, root: int = 0) -> int:
+def gamma_R_tree(t: Tree, x: Iterable[int]) -> int:
     """Minimum weight over assignments where value-0 vertices of ``x`` see a 2.
 
-    Agrees with the exhaustive ``solver.gamma_R`` on every input; the root
-    choice does not affect the result.
+    Agrees with the exhaustive ``solver.gamma_R`` on every input.
     """
     xset = vertex_subset(t, x, "x")
-    if not (0 <= root < t.n):
-        raise ValueError(f"root {root} out of range")
-    parent, order = t.walk if root == 0 else rooted(t, root)
+    parent, order = t.walk
     constrained = bytearray(t.n)
     for v in xset:
         constrained[v] = 1

@@ -198,24 +198,33 @@ class TestVerifyCommand:
         ]
         assert xs == [[0], []]
 
-    @pytest.mark.parametrize("field", ["y", "tree", "variant"])
+    @pytest.mark.parametrize("field", ["y", "tree", "variant", "anchor", "op", "base"])
     def test_tampered_generate_fails(self, capsys, tmp_path, field):
+        # a step list or base that does not rebuild is a failed check (exit 1),
+        # not an error: an inapplicable anchor, an unknown operation, and a
+        # non-integer base edge each stop the replay
         run(["generate", "--n", "6", "--seed", "2"])
         cert = json.loads(capsys.readouterr().out)
         result = cert["result"]
+        last = result["steps"][-1]
+        assert last == {"op": 4, "anchor": 1, "variant": 0}
         if field == "y":
             result["y"] = result["y"][:-1]
         elif field == "tree":
             assert result["tree"] != "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
             result["tree"] = "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
-        else:
-            last = result["steps"][-1]
-            assert last == {"op": 4, "anchor": 1, "variant": 0}
+        elif field == "variant":
             last["variant"] = 1
+        elif field == "anchor":
+            last["anchor"] = 99
+        elif field == "op":
+            last["op"] = 9
+        else:
+            result["base"]["edges"] = [[0.0, 1.0]]
         p = tmp_path / "cert.json"
         p.write_text(json.dumps(cert))
         code, (res,) = run_json(capsys, ["verify", str(p)])
-        assert code == 1 and res["verified"] is False
+        assert code == 1 and res == {"kind": "generate", "verified": False, "detail": "result mismatch"}
 
     @pytest.mark.parametrize("field", ["failure", "steps"])
     def test_tampered_negative_recognize_fails(self, capsys, tmp_path, p2_file, field):

@@ -1,6 +1,7 @@
 import pytest
 
 from strongroman.gadget import (
+    SAT_VARS_CAP,
     CnfError,
     CnfFormula,
     GadgetConsistencyError,
@@ -102,8 +103,9 @@ class TestSat:
         assert sat_brute_force(SAMPLE)
 
     def test_cap(self):
+        assert SAT_VARS_CAP == 20
         with pytest.raises(SizeCapError):
-            sat_brute_force(CnfFormula(25, ()), cap=20)
+            sat_brute_force(CnfFormula(21, ()))
 
 
 class TestQuantitative:

@@ -5,7 +5,6 @@ import pytest
 
 from strongroman.graphs import Tree
 from strongroman.generator import (
-    GrowthRetryError,
     OperationNotApplicable,
     OpStep,
     apply_op,
@@ -190,9 +189,16 @@ class TestRandomMember:
         text = json.dumps([s.to_json_dict() for s in steps], sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_retry_budget_error(self):
-        with pytest.raises(GrowthRetryError):
-            random_member(5, seed=0, max_retries=0)
+    def test_growth_never_dead_ends(self, closure10):
+        # every member but the constrained seed, which growth never starts
+        # from, has a one-vertex step, so seeded growth reaches any order
+        stuck = [
+            key
+            for key, m in closure10.items()
+            if (m.n, m.x) != (1, {0})
+            and not any(s.op in (1, 4, 5) for s in applicable_steps(m, m.n + 1))
+        ]
+        assert len(closure10) == 2097 and not stuck
 
 
 def test_applicable_steps_respect_budget():

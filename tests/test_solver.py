@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from strongroman import solver
 from strongroman.graphs import Tree
 from strongroman.solver import (
     SizeCapError,
-    SolverLimits,
     compute_Y,
     enumerate_minimum_wrdfs,
     gamma_R,
@@ -29,6 +29,18 @@ K1 = Tree(1, ())
 P2 = Tree(2, [(0, 1)])
 P3 = Tree(3, [(0, 1), (1, 2)])
 K13 = Tree(4, [(0, 1), (0, 2), (0, 3)])
+P19 = Tree(19, [(i, i + 1) for i in range(18)])  # one past the value cap
+K1_14 = Tree(15, [(0, i) for i in range(1, 15)])  # one past the enumeration cap
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Fail any exhaustive search, so a cap test shows the cap fires first."""
+
+    def refuse(g):
+        raise AssertionError(f"search started on order {g.n}")
+
+    monkeypatch.setattr(solver, "_BitGraph", refuse)
 
 
 class TestGammaR:
@@ -37,9 +49,10 @@ class TestGammaR:
         assert gamma_R(K1, range(1)) == 1
         assert gamma_R(K13, range(4)) == 2
 
-    def test_cap(self):
+    def test_cap(self, no_search):
+        assert solver.VALUE_CAP == 18
         with pytest.raises(SizeCapError):
-            gamma_R(P2, range(2), SolverLimits(value_cap=1))
+            gamma_R(P19, range(19))
 
 
 class TestGammar:
@@ -52,9 +65,9 @@ class TestGammar:
         with pytest.raises(ValueError):
             gamma_r(P3, {0}, {0})
 
-    def test_cap(self):
+    def test_cap(self, no_search):
         with pytest.raises(SizeCapError):
-            gamma_r(P3, range(3), (), SolverLimits(value_cap=2))
+            gamma_r(P19, range(19))
 
 
 class TestEnumerate:
@@ -69,9 +82,13 @@ class TestEnumerate:
     def test_star_unique(self):
         assert [a.digits() for a in enumerate_minimum_wrdfs(K13, range(4))] == ["2000"]
 
-    def test_cap(self):
+    def test_cap(self, no_search):
+        assert solver.ENUMERATION_CAP == 14
+        for query in (enumerate_minimum_wrdfs, solve_report, compute_Y, in_S_oracle):
+            with pytest.raises(SizeCapError):
+                query(K1_14, range(15))
         with pytest.raises(SizeCapError):
-            enumerate_minimum_wrdfs(K13, range(4), SolverLimits(enumeration_cap=3))
+            strongly_equal(K1_14)
 
 
 class TestY:

@@ -26,8 +26,6 @@ def test_examples():
 def test_validation():
     with pytest.raises(ValueError):
         gamma_R_tree(P3, {5})
-    with pytest.raises(ValueError):
-        gamma_R_tree(P3, range(3), root=9)
 
 
 def test_matches_oracle_all_small_trees_all_x():
@@ -50,7 +48,8 @@ def test_root_invariance():
     for _ in range(30):
         t = prufer_tree(rng.randint(2, 10), rng)
         x = frozenset(v for v in range(t.n) if rng.random() < 0.5)
-        values = {gamma_R_tree(t, x, root=r) for r in range(t.n)}
+        values = {gamma_R_tree(*swap_with_zero(t, x, r)) for r in range(t.n)}
+        values |= {pull_reference(t, x, r) for r in range(t.n)}
         assert len(values) == 1
 
 
@@ -90,7 +89,7 @@ def relabelled(n, edges, seed):
 def test_closed_forms_at_ten_thousand(n, edges, expected):
     t = relabelled(n, edges, seed=11)
     assert gamma_R_tree(t, range(n)) == expected
-    assert gamma_R_tree(t, range(n), root=n - 1) == expected
+    assert gamma_R_tree(*swap_with_zero(t, range(n), n - 1)) == expected
     for root in (0, n - 1):
         assert pull_reference(t, range(n), root) == expected
 
@@ -100,13 +99,23 @@ def pull_reference(t, x, root):
     return _down_terms(t, frozenset(x), *rooted(t, root))[root][1]
 
 
+def swap_with_zero(t, x, r):
+    """``t`` and ``x`` with labels ``r`` and 0 exchanged: ``gamma_R_tree``
+    roots its DP at vertex 0, so on the result it roots at the old ``r``."""
+
+    def swap(v):
+        return r if v == 0 else 0 if v == r else v
+
+    return Tree(t.n, [(swap(a), swap(b)) for a, b in t.edges]), frozenset(map(swap, x))
+
+
 def test_matches_pull_reference_at_every_root():
     rng = random.Random(44)
     for i in range(120):
         t = prufer_tree(rng.randint(1, 60), rng)
         x = range(t.n) if i % 2 else frozenset(v for v in range(t.n) if rng.random() < rng.random())
         for root in range(t.n):
-            assert gamma_R_tree(t, x, root=root) == pull_reference(t, x, root)
+            assert gamma_R_tree(*swap_with_zero(t, x, root)) == pull_reference(t, x, root)
 
 
 def naive_forced_two_weights(t: Tree, x) -> list:
