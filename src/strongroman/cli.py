@@ -13,6 +13,7 @@ where a trace or step list makes that possible.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -67,11 +68,6 @@ def _triple_json(tr: Triple) -> dict:
         "x": sorted(tr.x),
         "y": sorted(tr.y),
     }
-
-
-def _triple_from_json(d: dict) -> Triple:
-    tree = Tree(int(d["n"]), [tuple(e) for e in d["edges"]])
-    return Triple(tree, frozenset(d["x"]), frozenset(d["y"]))
 
 
 def _write_dot(path: Optional[str], graph) -> None:
@@ -189,17 +185,21 @@ def _recheck_recognize(cert: dict) -> bool:
 
 
 def _recheck_generate(cert: dict) -> bool:
-    """Replay the step list from the base; a base or step that does not
-    rebuild (an unknown operation, an inapplicable anchor, a non-integer
-    vertex) fails the check like any other mismatch."""
+    """Replay the step list from the base, which must be a seed, and
+    require order ``input.n``; as no step applies to the constrained seed,
+    that leaves it only order 1.  A base that is no seed or a step that does
+    not rebuild (an unknown operation, an inapplicable anchor) fails the
+    check like any other mismatch."""
     result = cert["result"]
+    base = next((s for s in base_triples() if _same(_triple_json(s), result["base"])), None)
+    if base is None:
+        return False
     try:
         steps = [OpStep.from_json_dict(s) for s in result["steps"]]
-        base = _triple_from_json(result["base"])
         triple = replay(steps, base)
     except (TypeError, ValueError):
         return False
-    return _same(_generate_result(base, steps, triple), result)
+    return _same(triple.n, cert["input"].get("n")) and _same(_generate_result(base, steps, triple), result)
 
 
 _RECHECKERS = {
@@ -228,7 +228,12 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``run`` in the process; argparse does not change a parser while
+    parsing, so error exits and ``--help`` behave as with a fresh one.
+    Every call returns that same object, which callers must not change."""
     parser = argparse.ArgumentParser(
         prog="strongroman",
         description="Decide, generate and cross-verify trees whose Roman domination "
@@ -270,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags and 0 on --help; keep the contract
         return 2 if exc.code not in (0, None) else 0

@@ -10,10 +10,13 @@ of operations 1, 4 and 5 is ``n``; operation 2 adds ``v, w1, w2 = n, n+1,
 n+2``; operation 3 adds ``v, w1, w2, w3 = n .. n+3``.
 
 Cost: operations 4 and 5 are anchored at reduction configurations, which
-``recognizer.configurations`` lists in one O(n) pass.  A growth step runs it
-once in ``applicable_steps`` and once more when ``apply_op`` checks an op-4
-or op-5 anchor, then builds and re-validates the grown ``Tree`` in
-O(n log n); growing a member of order n costs O(n² log n).
+``recognizer.configurations`` lists in one O(n) pass, once per parent:
+``random_member`` and ``enumerate_T`` hand its anchors both to the step
+listing and to the op-4/op-5 check (the public ``applicable_steps`` and
+``apply_op`` scan for themselves).  A growth step then builds and
+re-validates the grown ``Tree`` in O(n log n); growing a member of order n
+costs O(n² log n).  ``enumerate_T`` relabels a child canonically only when
+its canonical form is new.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graphs import Tree, canonical_relabel
+from .graphs import Tree, _canonical_mapping, _canonical_rooting
 from .recognizer import Triple, configurations
 from .solver import SizeCapError
 
 ENUMERATION_ORDER_CAP = 10
+
+# The op-4 and op-5 anchors of a triple, as ``_anchors`` lists them.
+_Anchors = tuple[list[int], list[int]]
 
 # Constrained-set variants per operation: which of the newly touched vertices
 # join X.  Anchors: u for ops 1-3, the configuration's v for op 4, one of its
@@ -72,7 +78,7 @@ def base_triples() -> tuple[Triple, Triple]:
     return Triple(k1, frozenset(), frozenset()), Triple(k1, frozenset({0}), frozenset({0}))
 
 
-def _anchors(tr: Triple) -> tuple[list[int], list[int]]:
+def _anchors(tr: Triple) -> _Anchors:
     """The op-4 anchors (cut vertices) and the op-5 anchors (branch roots)
     of the configurations of ``tr``, each in increasing order."""
     configs = configurations(tr)
@@ -83,6 +89,12 @@ def _anchors(tr: Triple) -> tuple[list[int], list[int]]:
 
 def apply_op(tr: Triple, step: OpStep) -> Triple:
     """Apply one extension operation, validating its applicability condition."""
+    return _apply(tr, step, _anchors(tr) if step.op in (4, 5) else None)
+
+
+def _apply(tr: Triple, step: OpStep, anchors: Optional[_Anchors]) -> Triple:
+    """``apply_op`` with the ``_anchors`` of ``tr`` given; operations 1-3
+    do not read them."""
     t, x, y = tr.tree, tr.x, tr.y
     n = t.n
     a = step.anchor
@@ -122,7 +134,7 @@ def apply_op(tr: Triple, step: OpStep) -> Triple:
         return Triple(tree, x | new_x, y | {a, v, w1, w2, w3})
 
     if step.op == 4:
-        if a not in _anchors(tr)[0]:
+        if a not in anchors[0]:
             raise OperationNotApplicable(
                 4, "anchor is not the cut vertex of any valid configuration"
             )
@@ -131,7 +143,7 @@ def apply_op(tr: Triple, step: OpStep) -> Triple:
         return Triple(tree, new_x, y | {n})
 
     # operation 5
-    if a not in _anchors(tr)[1]:
+    if a not in anchors[1]:
         raise OperationNotApplicable(
             5, "anchor is not a branch root of any valid configuration"
         )
@@ -141,12 +153,18 @@ def apply_op(tr: Triple, step: OpStep) -> Triple:
 
 def applicable_steps(tr: Triple, max_order: int) -> Iterator[OpStep]:
     """Every step applicable to ``tr`` whose result stays within ``max_order``."""
+    yield from _steps(tr, max_order, _anchors(tr) if tr.n + 1 <= max_order else None)
+
+
+def _steps(tr: Triple, max_order: int, anchors: Optional[_Anchors]) -> Iterator[OpStep]:
+    """``applicable_steps`` with the ``_anchors`` of ``tr`` given; they are
+    read only when a step of order n + 1 fits."""
     n = tr.n
     if n + 1 <= max_order:
         for u in tr.tree.vertices():
             if u not in tr.y:
                 yield OpStep(1, u)
-        cuts, roots = _anchors(tr)
+        cuts, roots = anchors
         for v in cuts:
             yield OpStep(4, v, 0)
             yield OpStep(4, v, 1)
@@ -183,11 +201,14 @@ def enumerate_T(n_max: int) -> dict[str, Triple]:
         queue.append(canon)
     while queue:
         tr = queue.popleft()
-        for step in applicable_steps(tr, n_max):
-            child = apply_op(tr, step)
-            key, mapping = canonical_relabel(child.tree, child.colors())
+        if tr.n == n_max:
+            continue  # no step fits; skip the configuration scan
+        anchors = _anchors(tr)
+        for step in _steps(tr, n_max, anchors):
+            child = _apply(tr, step, anchors)
+            key, rooting = _canonical_rooting(child.tree, child.colors())
             if key not in members:
-                members[key] = canon = child.relabelled(key, mapping)
+                members[key] = canon = child.relabelled(key, _canonical_mapping(child.tree, *rooting))
                 queue.append(canon)
     return members
 
@@ -212,8 +233,9 @@ def random_member(n: int, seed: int) -> tuple[Triple, list[OpStep]]:
     # operation 4 fits at its cut vertex).
     steps: list[OpStep] = []
     while tr.n < n:
-        step = rng.choice(list(applicable_steps(tr, n)))
-        tr = apply_op(tr, step)
+        anchors = _anchors(tr)
+        step = rng.choice(list(_steps(tr, n, anchors)))
+        tr = _apply(tr, step, anchors)
         steps.append(step)
     return tr, steps
 

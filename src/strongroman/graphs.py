@@ -358,14 +358,12 @@ def _rooted_encoding(t: Tree, colors: Mapping[int, int], root: int) -> tuple[lis
     return enc, parent
 
 
-def canonical_relabel(t: Tree, colors: Optional[Mapping[int, int]] = None) -> tuple[str, dict[int, int]]:
-    """Canonical form of a colored tree plus a relabelling that realizes it.
-
-    Two colored trees receive the same string exactly when some isomorphism
-    maps one onto the other preserving colors.  The returned map sends old
-    identifiers to the canonical ``0 .. n-1`` labelling; applying it to two
-    color-isomorphic trees yields identical labelled trees.
-    """
+def _canonical_rooting(
+    t: Tree, colors: Optional[Mapping[int, int]] = None
+) -> tuple[str, tuple[int, list[str], list[int]]]:
+    """The canonical form of a colored tree and the rooting that gives it:
+    the best center, the subtree encodings and the parent list there, which
+    ``_canonical_mapping`` turns into the relabelling."""
     if colors is None:
         colors = {v: 0 for v in t.vertices()}
     else:
@@ -378,6 +376,11 @@ def canonical_relabel(t: Tree, colors: Optional[Mapping[int, int]] = None) -> tu
         if best is None or enc[c] < best[0]:
             best = (enc[c], c, enc, parent)
     key, root, enc, parent = best
+    return key, (root, enc, parent)
+
+
+def _canonical_mapping(t: Tree, root: int, enc: list[str], parent: list[int]) -> dict[int, int]:
+    """Preorder numbering from the best root, children by encoding."""
     mapping: dict[int, int] = {}
     todo = [root]
     while todo:
@@ -385,13 +388,26 @@ def canonical_relabel(t: Tree, colors: Optional[Mapping[int, int]] = None) -> tu
         mapping[v] = len(mapping)
         kids = sorted((u for u in t.neighbors(v) if u != parent[v]), key=lambda u: (enc[u], u))
         todo.extend(reversed(kids))
-    return key, mapping
+    return mapping
+
+
+def canonical_relabel(t: Tree, colors: Optional[Mapping[int, int]] = None) -> tuple[str, dict[int, int]]:
+    """Canonical form of a colored tree plus a relabelling that realizes it.
+
+    Two colored trees receive the same string exactly when some isomorphism
+    maps one onto the other preserving colors.  The returned map sends old
+    identifiers to the canonical ``0 .. n-1`` labelling; applying it to two
+    color-isomorphic trees yields identical labelled trees.  The form comes
+    from ``_canonical_rooting`` and the map from ``_canonical_mapping``, so
+    a caller that needs the map only for some forms can skip the walk.
+    """
+    key, rooting = _canonical_rooting(t, colors)
+    return key, _canonical_mapping(t, *rooting)
 
 
 def canonical_form(t: Tree, colors: Optional[Mapping[int, int]] = None) -> str:
     """Canonical string of a colored tree, invariant under relabelling."""
-    key, _ = canonical_relabel(t, colors)
-    return key
+    return _canonical_rooting(t, colors)[0]
 
 
 def _bfs(t: Tree, source: int) -> tuple[list[int], list[int]]:

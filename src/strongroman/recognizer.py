@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Optional
 
-from .graphs import Split, Tree, canonical_relabel, longest_x_path, rooted, split_at, vertex_subset
+from .graphs import Split, Tree, canonical_form, canonical_relabel, longest_x_path, rooted, split_at, vertex_subset
 
 # Vertex colors for canonical forms: outside both sets, in Y only, in X
 # (membership in X forces membership in Y, so three colors suffice).
@@ -81,7 +81,7 @@ class Triple:
 
     @cached_property
     def canonical_key(self) -> str:
-        return canonical_relabel(self.tree, self.colors())[0]
+        return canonical_form(self.tree, self.colors())
 
     def canonicalized(self) -> tuple["Triple", dict[int, int]]:
         """Canonically relabelled copy plus the old-to-new vertex map."""

@@ -1,9 +1,14 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from strongroman import cli, generator
 from strongroman.cli import run
+from strongroman.generator import OpStep, base_triples, replay
+from strongroman.graphs import Tree
+from strongroman.recognizer import Triple
 
 STAR = "4 3\n0 1\n0 2\n0 3\n"
 P2 = "2 1\n0 1\n"
@@ -124,6 +129,12 @@ class TestGenerateEnumerate:
         assert sum(1 for r in rows if r["order"] == 1) == 2
         assert sum(1 for r in rows if r["order"] == 4) == 4
 
+    def test_enumerate_pinned_output(self, capsys):
+        assert run(["enumerate", "--max", "9"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 731
+        assert hashlib.sha256(out.encode()).hexdigest() == "5ac22fafaa421e2b33d326c3f3f62f88416f5e5f076fb57410ae77661efd84a9"
+
     def test_enumerate_cap(self, capsys):
         code, (err,) = run_json(capsys, ["enumerate", "--max", "99"])
         assert code == 2 and err["error"]["type"] == "SizeCapError"
@@ -198,17 +209,32 @@ class TestVerifyCommand:
         ]
         assert xs == [[0], []]
 
-    @pytest.mark.parametrize("field", ["y", "tree", "variant", "anchor", "op", "base"])
+    def test_generate_roundtrip_every_small_order(self, capsys, tmp_path):
+        for n in range(1, 13):
+            for seed in range(3):
+                self._roundtrip(capsys, tmp_path, ["generate", "--n", str(n), "--seed", str(seed)])
+
+    @pytest.mark.parametrize("field", ["y", "tree", "variant", "anchor", "op", "base", "seed", "order"])
     def test_tampered_generate_fails(self, capsys, tmp_path, field):
         # a step list or base that does not rebuild is a failed check (exit 1),
         # not an error: an inapplicable anchor, an unknown operation, and a
-        # non-integer base edge each stop the replay
+        # non-integer base edge each stop the replay.  Steps that do rebuild
+        # still fail from a base that is no seed (P_2 with X = Y = V, which
+        # recognize rejects) or past the order the input asks for.
         run(["generate", "--n", "6", "--seed", "2"])
         cert = json.loads(capsys.readouterr().out)
         result = cert["result"]
         last = result["steps"][-1]
         assert last == {"op": 4, "anchor": 1, "variant": 0}
-        if field == "y":
+        if field == "seed":
+            p2 = Triple(Tree(2, [(0, 1)]), {0, 1}, {0, 1})
+            cert = cli._certificate("generate", {"n": 2, "seed": 0}, cli._generate_result(p2, [], p2))
+        elif field == "order":
+            steps = [OpStep.from_json_dict(s) for s in result["steps"]]
+            grown = replay(steps)
+            steps.append(OpStep(4, generator._anchors(grown)[0][0]))
+            cert["result"] = cli._generate_result(base_triples()[0], steps, replay(steps))
+        elif field == "y":
             result["y"] = result["y"][:-1]
         elif field == "tree":
             assert result["tree"] != "6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n"
@@ -358,6 +384,20 @@ class TestVerifyCommand:
         p.write_text(json.dumps({"kind": "nonsense", "input": {}, "digest": ""}))
         code, (err,) = run_json(capsys, ["verify", str(p)])
         assert code == 2 and "error" in err
+
+
+class TestParser:
+    def test_built_once_and_reused(self, capsys):
+        # a bad flag and --help leave the cached parser as they found it
+        good = ["generate", "--n", "5", "--seed", "1"]
+        cli.build_parser.cache_clear()
+        first = (run(good), capsys.readouterr().out)
+        assert run(["generate", "--n", "5", "--bogus"]) == 2
+        assert run(["--help"]) == 0
+        capsys.readouterr()
+        assert (run(good), capsys.readouterr().out) == first
+        assert first[0] == 0 and first[1]
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestErrors:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from strongroman import generator
 from strongroman.graphs import Tree
 from strongroman.generator import (
     OperationNotApplicable,
@@ -200,6 +201,12 @@ class TestRandomMember:
         ]
         assert len(closure10) == 2097 and not stuck
 
+    def test_pinned_closure(self, closure10):
+        # keys in discovery order with each representative's edges, X and Y
+        rows = [[key, [list(e) for e in m.tree.edges], sorted(m.x), sorted(m.y)] for key, m in closure10.items()]
+        digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+        assert digest == "60283fd0b19e97c53fde5455c5827eda53920986779e80f09b6d79571383bcfb"
+
 
 def test_applicable_steps_respect_budget():
     steps = list(applicable_steps(EMPTY, 4))
@@ -222,3 +229,21 @@ def test_apply_op_accepts_exactly_the_yielded_anchors():
                     continue
                 accepted.add(a)
             assert accepted == yielded
+
+
+def test_shared_anchor_paths_match_public_ones():
+    # enumerate_T and random_member scan each parent's configurations once and
+    # hand the anchors to _steps and _apply; the public API scans per call
+    for tr in enumerate_T(7).values():
+        anchors = generator._anchors(tr)
+        steps = list(applicable_steps(tr, tr.n + 4))
+        assert list(generator._steps(tr, tr.n + 4, anchors)) == steps
+        for step in steps:
+            assert generator._apply(tr, step, anchors) == apply_op(tr, step)
+        for op, listed in ((4, anchors[0]), (5, anchors[1])):
+            for a in set(tr.tree.vertices()) - set(listed):
+                with pytest.raises(OperationNotApplicable) as public:
+                    apply_op(tr, OpStep(op, a))
+                with pytest.raises(OperationNotApplicable) as shared:
+                    generator._apply(tr, OpStep(op, a), anchors)
+                assert str(shared.value) == str(public.value)

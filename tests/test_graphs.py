@@ -12,6 +12,7 @@ from strongroman.graphs import (
     SelfLoopError,
     Tree,
     VertexRangeError,
+    _canonical_rooting,
     canonical_form,
     canonical_relabel,
     format_edge_list,
@@ -423,6 +424,7 @@ class TestCanonicalForm:
             t = prufer_tree(rng.randint(1, 9), rng)
             colors = {v: rng.randint(0, 2) for v in range(t.n)}
             key, mapping = canonical_relabel(t, colors)
+            assert _canonical_rooting(t, colors)[0] == key
             t2 = _relabel(t, [mapping[v] for v in range(t.n)])
             colors2 = {mapping[v]: c for v, c in colors.items()}
             key2, mapping2 = canonical_relabel(t2, colors2)
@@ -447,7 +449,9 @@ class TestCanonicalForm:
             rng.shuffle(perm)
             cases.append((_relabel(t, perm), {v: rng.randint(0, 2) for v in range(t.n)}))
         for t, colors in cases:
-            assert canonical_relabel(t, colors) == reference_relabel(t, colors)
+            key, mapping = canonical_relabel(t, colors)
+            assert (key, mapping) == reference_relabel(t, colors)
+            assert _canonical_rooting(t, colors)[0] == key
 
     def test_missing_color_rejected(self):
         with pytest.raises(ValueError):
