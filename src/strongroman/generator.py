@@ -195,10 +195,9 @@ def enumerate_T(n_max: int) -> dict[str, Triple]:
         raise SizeCapError(f"n_max {n_max} exceeds the configured cap {ENUMERATION_ORDER_CAP}")
     members: dict[str, Triple] = {}
     queue: deque[Triple] = deque()
-    for seed in base_triples():
-        canon, _ = seed.canonicalized()
-        members[canon.canonical_key] = canon
-        queue.append(canon)
+    for seed in base_triples():  # one vertex each: already canonical
+        members[seed.canonical_key] = seed
+        queue.append(seed)
     while queue:
         tr = queue.popleft()
         if tr.n == n_max:

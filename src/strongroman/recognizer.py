@@ -21,13 +21,6 @@ every later condition reads u's Y bit as "must lie in Y" or "must not".  So
 the bit stays open until its first read, which fixes it to the value asked
 for: the other candidate fails at exactly that read.  No Y* (and no rerooted
 tree DP) is needed, and every decision comes with a replayable trace.
-
-Trace coordinates: ``decide_in_S`` relabels the input triple canonically
-once and records every step in those labels; the kept part of the tree keeps
-them, so no reduced triple is relabelled.  ``verify_trace`` repeats the
-relabelling and replays the steps in O(n), which makes traces portable
-between runs and across isomorphic inputs.  A rejection records its reason,
-the number of steps before it and, when a cut failed, that cut's (v, u).
 """
 
 from __future__ import annotations
@@ -442,30 +435,25 @@ def _decide(tr: Triple) -> tuple[bool, ReductionTrace]:
 
 
 def decide_in_S(tr: Triple) -> tuple[bool, ReductionTrace]:
-    """Decide membership in the strongly-equal class, with a trace.
-
-    The trace is expressed over the canonically relabelled input (see the
-    module docstring) and, when accepting, replays via ``verify_trace``.
-    """
-    canon, _ = tr.canonicalized()
-    return _decide(canon)
+    """Decide membership in the strongly-equal class, with a trace in the
+    labels of ``tr`` that, when accepting, replays via ``verify_trace``."""
+    return _decide(tr)
 
 
 def verify_trace(tr: Triple, trace: ReductionTrace) -> bool:
     """Re-check a trace as a derivation without re-running any search.
 
-    Accepts exactly the traces that chain valid reduction steps from the
-    canonicalized ``tr`` down to a base case; each step's premise, ``ell``,
+    Accepts exactly the traces that chain valid reduction steps from ``tr``,
+    in its own labels, down to a base case; each step's premise, ``ell``,
     branch roots and case are checked again as it is replayed, in O(n) in
     all.  Rejection traces are not derivations and never verify.
     """
     if not trace.accepted:
         return False
-    cur, _ = tr.canonicalized()
-    chain = _Chain(cur)
+    chain = _Chain(tr)
     for step in trace.steps:
         v, u = step.v, step.u
-        if not (cur.tree.has_edge(v, u) and chain.alive[v] and chain.alive[u]):
+        if not (tr.tree.has_edge(v, u) and chain.alive[v] and chain.alive[u]):
             return False
         found = chain.cut(v, u)
         if found is None:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from strongroman import cli, generator
+from strongroman import cli, generator, graphs
 from strongroman.cli import run
 from strongroman.generator import OpStep, base_triples, replay
 from strongroman.graphs import Tree
@@ -313,7 +313,7 @@ class TestVerifyCommand:
         assert run(["recognize", str(p4)]) == 1
         cert = json.loads(capsys.readouterr().out)
         terminal = cert["result"]["trace"]["terminal"]
-        assert terminal == {"failure": "a single branch meets X (need at least two)", "step": 0, "v": 0, "u": 1}
+        assert terminal == {"failure": "a single branch meets X (need at least two)", "step": 0, "v": 1, "u": 2}
         if edit == "failure":
             terminal["failure"] = "no branch meets X"
         elif edit == "step":
@@ -321,13 +321,59 @@ class TestVerifyCommand:
         elif edit == "v":
             terminal["v"] = 2
         elif edit == "u":
-            terminal["u"] = 2
+            terminal["u"] = 3
         else:
             del terminal["v"], terminal["u"]
         p = tmp_path / "cert.json"
         p.write_text(json.dumps(cert))
         code, (res,) = run_json(capsys, ["verify", str(p)])
         assert code == 1 and res == {"kind": "recognize", "verified": False, "detail": "result mismatch"}
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["step without case", "step u text", "step w number", "steps null", "terminal list", "generate step without op"],
+    )
+    def test_malformed_result_fails(self, capsys, tmp_path, star_file, edit):
+        # a result that does not parse is a failed check (exit 1), not an error
+        if edit == "generate step without op":
+            assert run(["generate", "--n", "6", "--seed", "2"]) == 0
+            cert = json.loads(capsys.readouterr().out)
+            del cert["result"]["steps"][-1]["op"]
+        else:
+            assert run(["recognize", star_file]) == 0
+            cert = json.loads(capsys.readouterr().out)
+            trace = cert["result"]["trace"]
+            step = trace["steps"][0]
+            if edit == "step without case":
+                del step["case"]
+            elif edit == "step u text":
+                step["u"] = "x"
+            elif edit == "step w number":
+                step["w"] = 3
+            elif edit == "steps null":
+                trace["steps"] = None
+            else:
+                trace["terminal"] = []
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        code, (res,) = run_json(capsys, ["verify", str(p)])
+        assert code == 1 and res == {"kind": cert["kind"], "verified": False, "detail": "result mismatch"}
+
+    def test_recognize_route_never_canonicalizes(self, capsys, tmp_path, star_file, monkeypatch):
+        # a member and a non-member, recognized and verified with every
+        # canonical-form entry point refusing to run
+        def refuse(*args, **kwargs):
+            raise AssertionError("canonical form computed")
+
+        monkeypatch.setattr(graphs, "canonical_relabel", refuse)
+        monkeypatch.setattr(graphs, "_canonical_rooting", refuse)
+        monkeypatch.setattr(Triple, "canonicalized", refuse)
+        with pytest.raises(AssertionError, match="canonical form computed"):
+            Triple(Tree(2, [(0, 1)]), {0}, {0}).canonical_key
+        p4 = tmp_path / "p4.txt"
+        p4.write_text("4 3\n0 1\n1 2\n2 3\n")
+        self._roundtrip(capsys, tmp_path, ["recognize", star_file])
+        self._roundtrip(capsys, tmp_path, ["recognize", str(p4)], expect_exit=1)
 
     @pytest.mark.parametrize("kind", ["dp-rdf gamma_R", "generate x", "gadget boolean"])
     def test_retyped_value_fails(self, capsys, tmp_path, star_file, cnf_file, kind):
@@ -354,12 +400,12 @@ class TestVerifyCommand:
     def test_other_certificate_version_fails(self, capsys, tmp_path, star_file):
         run(["recognize", star_file])
         cert = json.loads(capsys.readouterr().out)
-        assert cert["certificate_version"] == 2
-        cert["certificate_version"] = 1
+        assert cert["certificate_version"] == 3
+        cert["certificate_version"] = 2
         p = tmp_path / "cert.json"
         p.write_text(json.dumps(cert))
         code, (res,) = run_json(capsys, ["verify", str(p)])
-        assert code == 1 and res == {"kind": "recognize", "verified": False, "detail": "certificate_version is not 2"}
+        assert code == 1 and res == {"kind": "recognize", "verified": False, "detail": "certificate_version is not 3"}
 
     def test_negative_recognize_with_numeric_verdict_fails(self, capsys, tmp_path, p2_file):
         assert run(["recognize", p2_file]) == 1

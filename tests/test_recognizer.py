@@ -1,11 +1,15 @@
 import contextlib
 import dataclasses
+import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
-from strongroman.graphs import Tree
+import strongroman
+from strongroman.graphs import Tree, format_edge_list
 from strongroman.recognizer import (
     BASE_K1_FULL,
     BASE_X_EMPTY,
@@ -13,6 +17,8 @@ from strongroman.recognizer import (
     TraceStep,
     Triple,
     _Chain,
+    _decide,
+    _locus,
     configuration_case,
     configurations,
     decide_in_S,
@@ -106,19 +112,19 @@ class TestReduce:
 
 # Every reason decide_in_S can give before its first step, and two from
 # after it, with the terminal that records them; the texts are part of the
-# rejection certificates, and (v, u) is in the input's canonical labels.
+# rejection certificates, and (v, u) is in the input's labels.
 REJECTIONS = {
     "single-branch": (
         P4,
         range(4),
         range(4),
-        {"failure": "a single branch meets X (need at least two)", "step": 0, "v": 0, "u": 1},
+        {"failure": "a single branch meets X (need at least two)", "step": 0, "v": 1, "u": 2},
     ),
     "u-outside-x": (
         Tree(5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
         {1, 2, 4},
         {1, 2, 4},
-        {"failure": "two branches meet X but the path vertex u is not in X", "step": 0, "v": 1, "u": 0},
+        {"failure": "two branches meet X but the path vertex u is not in X", "step": 0, "v": 0, "u": 3},
     ),
     "uv-outside-y": (
         Tree(4, [(0, 1), (0, 2), (0, 3)]),
@@ -138,7 +144,7 @@ REJECTIONS = {
         Tree(9, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7), (1, 8)]),
         range(2, 8),
         range(8),
-        {"failure": "branch at 1 must meet Y exactly in its root", "step": 1, "v": 0, "u": 8},
+        {"failure": "branch at 8 must meet Y exactly in its root", "step": 1, "v": 1, "u": 7},
     ),
     "x-empty": (K1, (), {0}, {"failure": "Y must be empty when X is empty", "step": 0}),
     "x-single": (
@@ -152,7 +158,7 @@ REJECTIONS = {
         Tree(7, [(0, 1), (0, 4), (1, 2), (2, 3), (4, 5), (4, 6)]),
         {0, 1, 2, 3, 5, 6},
         range(7),
-        {"failure": "a single branch meets X (need at least two)", "step": 1, "v": 5, "u": 6},
+        {"failure": "a single branch meets X (need at least two)", "step": 1, "v": 2, "u": 3},
     ),
 }
 
@@ -256,9 +262,9 @@ class TestVerifyTrace:
         "change",
         [
             {"ell": 3},
-            {"ws": (1,)},
-            {"ws": (1, 3)},
-            {"ws": (1, 2, 3)},
+            {"ws": (0,)},
+            {"ws": (0, 3)},
+            {"ws": (0, 2, 3)},
             {"case": "b"},
             {"y_prime_has_u": True},
             {"v": -1},
@@ -273,28 +279,26 @@ class TestVerifyTrace:
         # 0..n-1, which must fail the check, not wrap or raise
         tr = triple_for_tree(K13C1)
         ok, trace = decide_in_S(tr)
-        assert ok and trace.steps[0].ws == (1, 2) and trace.steps[0].u == 3
+        assert ok and trace.steps[0].ws == (0, 2) and trace.steps[0].u == 3
         bad = ReductionTrace((dataclasses.replace(trace.steps[0], **change),), trace.base, None)
         assert not verify_trace(tr, bad)
 
     def test_u_kept_in_case_a(self):
         # The case-"a" child that keeps u is a member here, so only the rule
         # that case "a" drops u from Y' rejects the trace.  The child's own
-        # trace is lifted into the input's canonical labels.
+        # trace is lifted into the input's labels.  The cut is the one at
+        # v = 5, which the longest-path locus does not pick in these labels.
         tr = Triple(
             Tree(8, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (5, 6), (5, 7)]),
             frozenset({0, 1, 3, 4, 6, 7}),
             frozenset({0, 1, 3, 4, 5, 6, 7}),
         )
-        canon, _ = tr.canonicalized()
-        loc = find_locus(canon)
-        assert cut(canon, loc) == ("a", None)
-        child = child_triple(canon, loc, True)
+        loc = _locus(tr, 5, 0)
+        assert cut(tr, loc) == ("a", None)
+        child = child_triple(tr, loc, True)
         ok, sub = decide_in_S(child)
-        assert ok and verify_trace(child, sub)
-        _, to_child_canon = child.canonicalized()
+        assert ok and sub.steps and verify_trace(child, sub)
         lift = {new: old for old, new in loc.split.to_prime.items()}
-        lift = {new: lift[old] for old, new in to_child_canon.items()}
         steps = [TraceStep(loc.u, loc.v, loc.ws, loc.ell, "a", True)] + [
             TraceStep(lift[s.u], lift[s.v], tuple(lift[w] for w in s.ws), s.ell, s.case, s.y_prime_has_u)
             for s in sub.steps
@@ -302,7 +306,7 @@ class TestVerifyTrace:
         assert not verify_trace(tr, ReductionTrace(tuple(steps), sub.base, None))
         assert not decide_in_S(tr)[0]
         # the same replay with u kept by hand reaches the base case
-        chain = _Chain(canon)
+        chain = _Chain(tr)
         chain.cut(loc.v, loc.u)
         chain.settle(loc.u, 1)
         for s in steps[1:]:
@@ -376,6 +380,50 @@ def test_scales_beyond_the_oracle_cap():
     assert ok and len(trace.steps) == 1 and verify_trace(star, trace)
 
 
+def test_verdict_independent_of_labelling():
+    # every tree up to order 9 with X = Y = V, as numbered by networkx and
+    # under two random relabellings, against _decide on its canonical copy
+    rng = random.Random(9)
+    accepted = 0
+    for n in range(1, 10):
+        for t in trees_of_order(n):
+            ok, ref = _decide(triple_for_tree(t).canonicalized()[0])
+            accepted += ok
+            labellings = [t]
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                labellings.append(Tree(n, [(perm[a], perm[b]) for a, b in t.edges]))
+            for tree in labellings:
+                tr = triple_for_tree(tree)
+                got, trace = decide_in_S(tr)
+                assert got == ok, tree.edges
+                assert len(trace.steps) == (len(ref.steps) if ok else 0)
+                assert verify_trace(tr, trace) == ok
+    assert accepted == 12  # the criterion-7 counts summed over orders 1..9
+
+
+# Run in a child process: cap its address space, then recognize and verify
+# each tree file through the CLI and report the exit codes, the verdicts of
+# verify and the peak RSS (KiB).
+_BOUNDED_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import contextlib, io, json, sys
+from strongroman import cli
+results = []
+for i, tree in enumerate(sys.argv[2:]):
+    cert = f"{sys.argv[1]}/cert{i}.json"
+    with open(cert, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        results.append(cli.run(["recognize", tree]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append(cli.run(["verify", cert]))
+    results.append(json.loads(out.getvalue())["verified"])
+print(json.dumps({"results": results, "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
 @contextlib.contextmanager
 def default_recursion_limit():
     limit = sys.getrecursionlimit()
@@ -402,6 +450,23 @@ class TestScale:
         with default_recursion_limit():
             ok, trace = decide_in_S(tr)
         assert not ok and trace.failure == "a single branch meets X (need at least two)"
+
+    def test_cli_in_bounded_memory(self, tmp_path):
+        # P_100000 (rejected) and C_25000 (10^5 vertices, accepted) through
+        # the CLI in a child capped at 1 GiB of address space
+        files = [tmp_path / "path.txt", tmp_path / "cat.txt"]
+        files[0].write_text(format_edge_list(Tree(100_000, [(i, i + 1) for i in range(99_999)])))
+        files[1].write_text(format_edge_list(caterpillar(25_000)))
+        src = os.path.dirname(os.path.dirname(strongroman.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _BOUNDED_CHILD, str(tmp_path), *map(str, files)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        report = json.loads(proc.stdout)
+        assert report["results"] == [1, 0, True, 0, 0, True]
+        assert report["maxrss_kib"] < 256 * 1024
 
     @pytest.mark.parametrize("seed", range(3))
     def test_member_500(self, seed):
