@@ -22,7 +22,7 @@ from typing import Optional
 from . import __version__
 from .gadget import CnfFormula, build_gadget, verify_gadget
 from .generator import OpStep, base_triples, enumerate_T, random_member, replay
-from .graphs import Graph, Tree, format_edge_list, parse_edge_list, to_dot, vertex_subset
+from .graphs import Graph, Tree, format_edge_list, parse_tree, to_dot, vertex_subset
 from .recognizer import ReductionTrace, Triple, decide_in_S, triple_for_tree, verify_trace
 from .solver import solve_report
 from .treedp import gamma_R_tree
@@ -82,7 +82,7 @@ def _read(path: str) -> str:
 
 
 def _solve_result(inp: dict) -> tuple[dict, Tree]:
-    t = Tree.from_graph(parse_edge_list(inp["graph"]))
+    t = parse_tree(inp["graph"])
     x = _parse_x_spec(inp["x"], t)
     if inp["method"] == "dp-rdf":
         return {"method": "dp-rdf", "gamma_R": gamma_R_tree(t, x)}, t
@@ -98,7 +98,7 @@ def _cmd_solve(args) -> int:
 
 
 def _recognize_result(inp: dict) -> tuple[dict, Tree]:
-    t = Tree.from_graph(parse_edge_list(inp["graph"]))
+    t = parse_tree(inp["graph"])
     ok, trace = decide_in_S(triple_for_tree(t))
     return {"strongly_equal": ok, "trace": trace.to_json_dict()}, t
 
@@ -180,7 +180,7 @@ def _recheck_recognize(cert: dict) -> bool:
     trace = ReductionTrace.from_json_dict(result["trace"])
     if not _same({"strongly_equal": True, "trace": trace.to_json_dict()}, result):
         return False
-    triple = triple_for_tree(Tree.from_graph(parse_edge_list(cert["input"]["graph"])))
+    triple = triple_for_tree(parse_tree(cert["input"]["graph"]))
     return verify_trace(triple, trace)
 
 

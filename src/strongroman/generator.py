@@ -9,11 +9,14 @@ New vertices always take the next free identifiers: the single added vertex
 of operations 1, 4 and 5 is ``n``; operation 2 adds ``v, w1, w2 = n, n+1,
 n+2``; operation 3 adds ``v, w1, w2, w3 = n .. n+3``.
 
+One path grows, enumerates and replays: ``random_member`` and
+``enumerate_T`` list steps only with ``applicable_steps``, and they and
+``replay`` apply steps only with ``apply_op``.
+
 Cost: operations 4 and 5 are anchored at reduction configurations, which
-``recognizer.configurations`` lists in one O(n) pass, once per parent:
-``random_member`` and ``enumerate_T`` hand its anchors both to the step
-listing and to the op-4/op-5 check (the public ``applicable_steps`` and
-``apply_op`` scan for themselves).  A growth step then builds and
+``recognizer.configurations`` lists in one O(n) pass.  ``Triple.anchors``
+caches the result on the (immutable) triple, so listing a parent's steps
+and applying them scans it once.  A growth step then builds and
 re-validates the grown ``Tree`` in O(n log n); growing a member of order n
 costs O(n² log n).  ``enumerate_T`` relabels a child canonically only when
 its canonical form is new.
@@ -27,13 +30,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .graphs import Tree, _canonical_mapping, _canonical_rooting
-from .recognizer import Triple, configurations
+from .recognizer import Triple
 from .solver import SizeCapError
 
 ENUMERATION_ORDER_CAP = 10
-
-# The op-4 and op-5 anchors of a triple, as ``_anchors`` lists them.
-_Anchors = tuple[list[int], list[int]]
 
 # Constrained-set variants per operation: which of the newly touched vertices
 # join X.  Anchors: u for ops 1-3, the configuration's v for op 4, one of its
@@ -78,51 +78,32 @@ def base_triples() -> tuple[Triple, Triple]:
     return Triple(k1, frozenset(), frozenset()), Triple(k1, frozenset({0}), frozenset({0}))
 
 
-def _anchors(tr: Triple) -> _Anchors:
-    """The op-4 anchors (cut vertices) and the op-5 anchors (branch roots)
-    of the configurations of ``tr``, each in increasing order."""
-    configs = configurations(tr)
-    cuts = sorted({v for v, _ in configs})
-    roots = sorted({w for v, u in configs for w in tr.tree.neighbors(v) if w != u})
-    return cuts, roots
-
-
 def apply_op(tr: Triple, step: OpStep) -> Triple:
     """Apply one extension operation, validating its applicability condition."""
-    return _apply(tr, step, _anchors(tr) if step.op in (4, 5) else None)
-
-
-def _apply(tr: Triple, step: OpStep, anchors: Optional[_Anchors]) -> Triple:
-    """``apply_op`` with the ``_anchors`` of ``tr`` given; operations 1-3
-    do not read them."""
     t, x, y = tr.tree, tr.x, tr.y
-    n = t.n
-    a = step.anchor
+    n, op, a = t.n, step.op, step.anchor
     if not (0 <= a < n):
-        raise OperationNotApplicable(step.op, f"anchor {a} is not a vertex")
+        raise OperationNotApplicable(op, f"anchor {a} is not a vertex")
+    # Operation 2's anchor must avoid Y, not just X: the two-branch reduction
+    # pins the smaller certificate set to Y minus the anchor, so anchoring at
+    # a Y-vertex would demand a second, different certificate set for the
+    # same (tree, X), which uniqueness forbids.  Anchoring at a Y-vertex
+    # demonstrably creates triples the exhaustive oracle rejects.
+    if op in (1, 2) and a in y:
+        raise OperationNotApplicable(op, "anchor must lie outside Y")
+    if op == 3 and a in x:
+        raise OperationNotApplicable(3, "anchor must lie outside X")
+    if op == 4 and a not in tr.anchors[0]:
+        raise OperationNotApplicable(4, "anchor is not the cut vertex of any valid configuration")
+    if op == 5 and a not in tr.anchors[1]:
+        raise OperationNotApplicable(5, "anchor is not a branch root of any valid configuration")
 
-    if step.op == 1:
-        if a in y:
-            raise OperationNotApplicable(1, "anchor must lie outside Y")
-        tree = Tree(n + 1, t.edges + ((a, n),))
-        return Triple(tree, x, y)
-
-    if step.op == 2:
-        # The anchor must avoid Y, not just X: the two-branch reduction pins
-        # the smaller certificate set to Y minus the anchor, so anchoring at a
-        # Y-vertex would demand a second, different certificate set for the
-        # same (tree, X), which uniqueness forbids.  Anchoring at a Y-vertex
-        # demonstrably creates triples the exhaustive oracle rejects.
-        if a in y:
-            raise OperationNotApplicable(2, "anchor must lie outside Y")
+    if op == 2:
         v, w1, w2 = n, n + 1, n + 2
         tree = Tree(n + 3, t.edges + ((a, v), (v, w1), (v, w2)))
         new_x = {a, w1, w2} if step.variant == 0 else {a, v, w1, w2}
         return Triple(tree, x | new_x, y | {a, v, w1, w2})
-
-    if step.op == 3:
-        if a in x:
-            raise OperationNotApplicable(3, "anchor must lie outside X")
+    if op == 3:
         v, w1, w2, w3 = n, n + 1, n + 2, n + 3
         tree = Tree(n + 4, t.edges + ((a, v), (v, w1), (v, w2), (v, w3)))
         new_x = (
@@ -132,49 +113,34 @@ def _apply(tr: Triple, step: OpStep, anchors: Optional[_Anchors]) -> Triple:
             {a, v, w1, w2, w3},
         )[step.variant]
         return Triple(tree, x | new_x, y | {a, v, w1, w2, w3})
-
-    if step.op == 4:
-        if a not in anchors[0]:
-            raise OperationNotApplicable(
-                4, "anchor is not the cut vertex of any valid configuration"
-            )
-        tree = Tree(n + 1, t.edges + ((a, n),))
-        new_x = x if step.variant == 0 else x | {n}
-        return Triple(tree, new_x, y | {n})
-
-    # operation 5
-    if a not in anchors[1]:
-        raise OperationNotApplicable(
-            5, "anchor is not a branch root of any valid configuration"
-        )
-    tree = Tree(n + 1, t.edges + ((a, n),))
+    tree = Tree(n + 1, t.edges + ((a, n),))  # operations 1, 4 and 5 add one leaf
+    if op == 4:
+        return Triple(tree, x if step.variant == 0 else x | {n}, y | {n})
     return Triple(tree, x, y)
 
 
 def applicable_steps(tr: Triple, max_order: int) -> Iterator[OpStep]:
-    """Every step applicable to ``tr`` whose result stays within ``max_order``."""
-    yield from _steps(tr, max_order, _anchors(tr) if tr.n + 1 <= max_order else None)
+    """Every step applicable to ``tr`` whose result stays within ``max_order``.
 
-
-def _steps(tr: Triple, max_order: int, anchors: Optional[_Anchors]) -> Iterator[OpStep]:
-    """``applicable_steps`` with the ``_anchors`` of ``tr`` given; they are
-    read only when a step of order n + 1 fits."""
+    ``tr.anchors`` is read, and so the configurations scanned, only when a
+    step of order n + 1 fits.
+    """
     n = tr.n
-    if n + 1 <= max_order:
-        for u in tr.tree.vertices():
-            if u not in tr.y:
-                yield OpStep(1, u)
-        cuts, roots = anchors
-        for v in cuts:
-            yield OpStep(4, v, 0)
-            yield OpStep(4, v, 1)
-        for w in roots:
-            yield OpStep(5, w)
+    if n + 1 > max_order:
+        return
+    outside_y = [u for u in tr.tree.vertices() if u not in tr.y]
+    for u in outside_y:
+        yield OpStep(1, u)
+    cuts, roots = tr.anchors
+    for v in cuts:
+        yield OpStep(4, v, 0)
+        yield OpStep(4, v, 1)
+    for w in roots:
+        yield OpStep(5, w)
     if n + 3 <= max_order:
-        for u in tr.tree.vertices():
-            if u not in tr.y:
-                yield OpStep(2, u, 0)
-                yield OpStep(2, u, 1)
+        for u in outside_y:
+            yield OpStep(2, u, 0)
+            yield OpStep(2, u, 1)
     if n + 4 <= max_order:
         for u in tr.tree.vertices():
             if u not in tr.x:
@@ -200,11 +166,8 @@ def enumerate_T(n_max: int) -> dict[str, Triple]:
         queue.append(seed)
     while queue:
         tr = queue.popleft()
-        if tr.n == n_max:
-            continue  # no step fits; skip the configuration scan
-        anchors = _anchors(tr)
-        for step in _steps(tr, n_max, anchors):
-            child = _apply(tr, step, anchors)
+        for step in applicable_steps(tr, n_max):
+            child = apply_op(tr, step)
             key, rooting = _canonical_rooting(child.tree, child.colors())
             if key not in members:
                 members[key] = canon = child.relabelled(key, _canonical_mapping(child.tree, *rooting))
@@ -232,9 +195,8 @@ def random_member(n: int, seed: int) -> tuple[Triple, list[OpStep]]:
     # operation 4 fits at its cut vertex).
     steps: list[OpStep] = []
     while tr.n < n:
-        anchors = _anchors(tr)
-        step = rng.choice(list(_steps(tr, n, anchors)))
-        tr = _apply(tr, step, anchors)
+        step = rng.choice(list(applicable_steps(tr, n)))
+        tr = apply_op(tr, step)
         steps.append(step)
     return tr, steps
 

@@ -8,10 +8,12 @@ check on vertex sets (``vertex_subset``).  A tree keeps the traversal from
 vertex 0 that certified it (``Tree.walk``), so passes rooted there do not
 walk it again.  The edge-list parser reads all edges in bulk and lets
 ``Graph`` check them; it walks the lines one by one only to name a bad one.
+``parse_tree`` checks the header's edge count before the parser runs.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import ne
 from typing import Iterable, Mapping, Optional
@@ -252,6 +254,23 @@ def parse_edge_list(text: str) -> Graph:
     except ValueError:
         _raise_first_bad_line(raw, n)
         raise
+
+
+_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")  # a line, as str.splitlines cuts
+
+
+def parse_tree(text: str) -> Tree:
+    """``parse_edge_list`` for a tree; a header ``n m`` with ``m != n - 1``
+    fails before anything is allocated per vertex."""
+    lines = (line.group().split() for line in _LINE.finditer(text))
+    header = next((parts for parts in lines if parts and parts[0][0] != "#"), [])
+    try:
+        n, m = map(int, header)
+    except ValueError:
+        n, m = 1, 0  # no header of two integers: the parser names the fault
+    if n >= 1 and m >= 0 and m != n - 1:
+        raise NotATreeError(f"graph on {n} vertices with {m} edges is not a tree")
+    return Tree.from_graph(parse_edge_list(text))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -48,7 +48,9 @@ class Triple:
     """A tree with its constrained set ``x`` and certificate set ``y``.
 
     Requires ``x <= y <= V``; candidate members never violate this, so it is
-    enforced at construction.
+    enforced at construction.  Two values are computed on first use and then
+    kept, which is safe as a triple is immutable: ``canonical_key``, and
+    ``anchors``, where the generator's operations 4 and 5 may attach.
     """
 
     tree: Tree
@@ -75,6 +77,15 @@ class Triple:
     @cached_property
     def canonical_key(self) -> str:
         return canonical_form(self.tree, self.colors())
+
+    @cached_property
+    def anchors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The cut vertices (op-4 anchors) and the branch roots (op-5
+        anchors) of the ``configurations``, each in increasing order."""
+        configs = configurations(self)
+        cuts = sorted({v for v, _ in configs})
+        roots = sorted({w for v, u in configs for w in self.tree.neighbors(v) if w != u})
+        return tuple(cuts), tuple(roots)
 
     def canonicalized(self) -> tuple["Triple", dict[int, int]]:
         """Canonically relabelled copy plus the old-to-new vertex map."""

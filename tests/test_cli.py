@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from strongroman import cli, generator, graphs
+from strongroman import cli, graphs
 from strongroman.cli import run
-from strongroman.generator import OpStep, base_triples, replay
+from strongroman.generator import OpStep, applicable_steps, base_triples, replay
 from strongroman.graphs import Tree
 from strongroman.recognizer import Triple
 
@@ -232,7 +232,7 @@ class TestVerifyCommand:
         elif field == "order":
             steps = [OpStep.from_json_dict(s) for s in result["steps"]]
             grown = replay(steps)
-            steps.append(OpStep(4, generator._anchors(grown)[0][0]))
+            steps.append(next(s for s in applicable_steps(grown, grown.n + 1) if s.op == 4))
             cert["result"] = cli._generate_result(base_triples()[0], steps, replay(steps))
         elif field == "y":
             result["y"] = result["y"][:-1]

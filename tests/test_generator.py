@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from strongroman import generator
+from strongroman import recognizer
 from strongroman.graphs import Tree
 from strongroman.generator import (
     OperationNotApplicable,
@@ -231,19 +231,28 @@ def test_apply_op_accepts_exactly_the_yielded_anchors():
             assert accepted == yielded
 
 
-def test_shared_anchor_paths_match_public_ones():
-    # enumerate_T and random_member scan each parent's configurations once and
-    # hand the anchors to _steps and _apply; the public API scans per call
-    for tr in enumerate_T(7).values():
-        anchors = generator._anchors(tr)
-        steps = list(applicable_steps(tr, tr.n + 4))
-        assert list(generator._steps(tr, tr.n + 4, anchors)) == steps
-        for step in steps:
-            assert generator._apply(tr, step, anchors) == apply_op(tr, step)
-        for op, listed in ((4, anchors[0]), (5, anchors[1])):
-            for a in set(tr.tree.vertices()) - set(listed):
-                with pytest.raises(OperationNotApplicable) as public:
-                    apply_op(tr, OpStep(op, a))
-                with pytest.raises(OperationNotApplicable) as shared:
-                    generator._apply(tr, OpStep(op, a), anchors)
-                assert str(shared.value) == str(public.value)
+def test_configurations_scanned_once_per_parent(monkeypatch):
+    # Triple.anchors keeps the scan, so listing a parent's steps and applying
+    # its op-4 and op-5 steps scan the parent once, and a child not at all
+    scanned = []
+    scan = recognizer.configurations
+
+    def counting(tr):
+        scanned.append(tr)  # keeps each scanned triple alive, so ids stay unique
+        return scan(tr)
+
+    def once_each() -> set:
+        ids = {id(tr) for tr in scanned}
+        assert 0 < len(ids) == len(scanned)
+        return ids
+
+    monkeypatch.setattr(recognizer, "configurations", counting)
+    members = enumerate_T(8)
+    assert once_each() <= {id(m) for m in members.values() if m.n < 8}
+    for seed in range(3):
+        scanned.clear()
+        tr, steps = random_member(60, seed)
+        assert len(once_each()) <= len(steps)  # one parent per step
+        scanned.clear()
+        assert replay(steps) == tr
+        assert len(once_each()) <= len(steps)

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strongroman import graphs
 from strongroman.graphs import (
     DuplicateEdgeError,
     Graph,
     MalformedLineError,
     NotATreeError,
+    ParseError,
     SelfLoopError,
     Tree,
     VertexRangeError,
@@ -19,6 +21,7 @@ from strongroman.graphs import (
     is_tree,
     longest_x_path,
     parse_edge_list,
+    parse_tree,
     rooted,
     split_at,
     to_dot,
@@ -147,20 +150,54 @@ class TestParseMatchesReference:
         assert all(got.neighbors(v) == ref.neighbors(v) for v in got.vertices())
 
     def test_random_corruptions(self):
-        rng = random.Random(99)
-        tokens = ("0", "1", "-1", "x", "1.5", "#", "7 7", "")
-        for _ in range(2000):
-            n = rng.randint(1, 8)
-            lines = [f"{a} {b}" for a, b in prufer_tree(n, rng).edges]
-            lines.insert(0, f"{n} {n - 1}")
-            for _ in range(rng.choice((0, 1, 2, 3))):
-                k = rng.randrange(len(lines) + 1)
-                if rng.random() < 0.5 and k < len(lines):
-                    lines[k] = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 3)))
-                else:
-                    lines.insert(k, rng.choice((f"{rng.randint(-1, n)} {rng.randint(-1, n)}", "", "# c")))
-            text = rng.choice(("\n", "\r\n")).join(lines)
+        for text in corrupted_tree_texts(99, 2000):
             assert outcome(parse_edge_list, text) == outcome(reference_parse, text), text
+
+
+def corrupted_tree_texts(seed, count):
+    """Edge lists of small random trees with up to three lines replaced or
+    inserted, header included."""
+    rng = random.Random(seed)
+    tokens = ("0", "1", "-1", "x", "1.5", "#", "7 7", "")
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        lines = [f"{a} {b}" for a, b in prufer_tree(n, rng).edges]
+        lines.insert(0, f"{n} {n - 1}")
+        for _ in range(rng.choice((0, 1, 2, 3))):
+            k = rng.randrange(len(lines) + 1)
+            if rng.random() < 0.5 and k < len(lines):
+                lines[k] = " ".join(rng.choice(tokens) for _ in range(rng.randint(1, 3)))
+            else:
+                lines.insert(k, rng.choice((f"{rng.randint(-1, n)} {rng.randint(-1, n)}", "", "# c")))
+        yield rng.choice(("\n", "\r\n")).join(lines)
+
+
+class TestParseTree:
+    def test_only_moves_not_a_tree_ahead(self):
+        # the header check raises NotATreeError where the parser would have
+        # named another fault first; anything else is the parser's outcome
+        texts = [*MALFORMED.values(), *WELL_FORMED.values(), *corrupted_tree_texts(7, 2000)]
+        for text in texts:
+            got, ref = outcome(parse_tree, text), outcome(lambda s: Tree.from_graph(parse_edge_list(s)), text)
+            if got != ref:
+                assert got[0] is NotATreeError and issubclass(ref[0], ParseError), text
+        assert outcome(parse_tree, MALFORMED["more edge lines than m"]) == (
+            NotATreeError, "graph on 3 vertices with 1 edges is not a tree"
+        )
+
+    def test_wrong_count_fails_before_the_parser_runs(self, monkeypatch):
+        # every line break that ``str.splitlines`` knows ends the header
+        seps = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x85", "\u2028")
+        for sep in seps:
+            assert parse_tree(sep.join(["# c", "3 2", "0 1", "1 2"])) == Tree(3, [(0, 1), (1, 2)])
+
+        def refuse(text):
+            raise AssertionError("parsed although the header names no tree")
+
+        monkeypatch.setattr(graphs, "parse_edge_list", refuse)
+        for sep in seps:
+            text = sep.join(["# c", "4 2", "0 1", "1 2"])
+            assert outcome(parse_tree, text) == (NotATreeError, "graph on 4 vertices with 2 edges is not a tree")
 
 
 class TestTreeBasics:

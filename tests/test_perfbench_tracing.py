@@ -1,25 +1,28 @@
-"""Every package name that the benchmark's per-layer tracer wraps resolves.
+"""The benchmark's per-layer tracer finds what it wraps and counts truly.
 
 ``perfbench/tracing.py`` patches each ``TRACED`` entry by name, so a renamed
-or deleted function breaks ``--trace 1``.  The file is read and executed in a
-private namespace, so nothing is imported or written under ``perfbench/``.
+or deleted function breaks ``--trace 1``, and a layer that production code
+bypasses reads zero.  The file is read and executed in a private namespace,
+so nothing is imported or written under ``perfbench/``.
 """
 
 import importlib
 import inspect
 from pathlib import Path
 
+from strongroman import generator
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def traced_names() -> tuple:
+def tracing() -> dict:
     namespace = {"__name__": "perfbench_tracing"}
     exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), namespace)
-    return namespace["TRACED"]
+    return namespace
 
 
 def test_every_traced_name_resolves():
-    traced = traced_names()
+    traced = tracing()["TRACED"]
     assert traced
     missing = []
     for mod_name, attr, metric in traced:
@@ -34,3 +37,18 @@ def test_every_traced_name_resolves():
         if not ok:
             missing.append((mod_name, attr, metric))
     assert not missing, missing
+
+
+def test_enumerate_counters_read_the_growth_path():
+    # enumerate_T grows through applicable_steps and apply_op, so the tracer
+    # sees its children and the share of them that are new members
+    ns = tracing()
+    tracer = ns["Tracer"]()
+    tracer.install()
+    try:
+        generator.enumerate_T(7)
+    finally:
+        tracer.uninstall()
+    metrics = ns["layer_metrics"](tracer.snapshot())
+    assert 0 < metrics["generator.enumerate.new_ratio"] <= 1
+    assert metrics["generator.applicable_steps.calls"] > 0

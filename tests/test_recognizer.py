@@ -423,6 +423,34 @@ for i, tree in enumerate(sys.argv[2:]):
 print(json.dumps({"results": results, "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
+# Exit code and error type of each command on one input, in a child capped
+# at 1 GiB of address space.
+_ERROR_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import contextlib, io, json, sys
+from strongroman import cli
+results = []
+for command in ("recognize", "solve"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run([command, sys.argv[1]])
+    results.append([code, json.loads(out.getvalue())["error"]["type"]])
+print(json.dumps(results))
+"""
+
+
+def run_child(script: str, *args):
+    """Run ``script`` in a fresh interpreter that imports this package;
+    return what it prints as JSON."""
+    src = os.path.dirname(os.path.dirname(strongroman.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
 
 @contextlib.contextmanager
 def default_recursion_limit():
@@ -457,16 +485,16 @@ class TestScale:
         files = [tmp_path / "path.txt", tmp_path / "cat.txt"]
         files[0].write_text(format_edge_list(Tree(100_000, [(i, i + 1) for i in range(99_999)])))
         files[1].write_text(format_edge_list(caterpillar(25_000)))
-        src = os.path.dirname(os.path.dirname(strongroman.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-c", _BOUNDED_CHILD, str(tmp_path), *map(str, files)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        report = json.loads(proc.stdout)
+        report = run_child(_BOUNDED_CHILD, tmp_path, *files)
         assert report["results"] == [1, 0, True, 0, 0, True]
         assert report["maxrss_kib"] < 256 * 1024
+
+    def test_huge_header_in_bounded_memory(self, tmp_path):
+        # twelve bytes that claim 10^8 vertices and no edges: rejected as no
+        # tree before a list per vertex is built (that alone needs gigabytes)
+        p = tmp_path / "header.txt"
+        p.write_text("100000000 0\n")
+        assert run_child(_ERROR_CHILD, p) == [[2, "NotATreeError"], [2, "NotATreeError"]]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_member_500(self, seed):
