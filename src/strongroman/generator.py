@@ -9,17 +9,22 @@ New vertices always take the next free identifiers: the single added vertex
 of operations 1, 4 and 5 is ``n``; operation 2 adds ``v, w1, w2 = n, n+1,
 n+2``; operation 3 adds ``v, w1, w2, w3 = n .. n+3``.
 
-One path grows, enumerates and replays: ``random_member`` and
-``enumerate_T`` list steps only with ``applicable_steps``, and they and
-``replay`` apply steps only with ``apply_op``.
+Each operation is stated once: ``_check`` holds its applicability condition
+and ``_extension`` the edges and X/Y vertices it adds.  ``apply_op`` and
+``applicable_steps`` are the per-step API on immutable triples;
+``random_member`` and ``replay`` apply the same steps on one mutable
+``_Builder`` and draw in ``applicable_steps``' order.
 
-Cost: operations 4 and 5 are anchored at reduction configurations, which
-``recognizer.configurations`` lists in one O(n) pass.  ``Triple.anchors``
-caches the result on the (immutable) triple, so listing a parent's steps
-and applying them scans it once.  A growth step then builds and
-re-validates the grown ``Tree`` in O(n log n); growing a member of order n
-costs O(n² log n).  ``enumerate_T`` relabels a child canonically only when
-its canonical form is new.
+Cost: operations 4 and 5 are anchored at reduction configurations.
+``enumerate_T`` lists a parent's steps with ``applicable_steps``, which
+reads ``Triple.anchors`` (one O(n) pass of ``recognizer.configurations``,
+kept on the triple), and applies each child with ``apply_op``, which builds
+and validates the child tree in O(n log n); it relabels a child canonically
+only when its canonical form is new.  Sequential growth and replay run on
+the builder instead, which keeps the anchors up to date as steps apply: a
+step is drawn and applied in O(log n) amortized time, and one tree is
+validated at the end, so growing or replaying a member of order n costs
+O(n log n).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Tree, _canonical_mapping, _canonical_rooting
 from .recognizer import Triple
@@ -39,6 +44,25 @@ ENUMERATION_ORDER_CAP = 10
 # join X.  Anchors: u for ops 1-3, the configuration's v for op 4, one of its
 # branch roots for op 5.
 _VARIANTS = {1: 1, 2: 2, 3: 4, 4: 2, 5: 1}
+
+# Each operation's anchor pool, an index into (vertices outside Y, vertices
+# outside X, cut vertices, branch roots), and the clause that refuses an
+# anchor outside that pool.  Operation 2's anchor must avoid Y, not just X:
+# the two-branch reduction pins the smaller certificate set to Y minus the
+# anchor, so anchoring at a Y-vertex would demand a second, different
+# certificate set for the same (tree, X), which uniqueness forbids.
+# Anchoring at a Y-vertex demonstrably creates triples the exhaustive oracle
+# rejects.
+_POOL = {1: 0, 2: 0, 3: 1, 4: 2, 5: 3}
+_CLAUSE = (
+    "anchor must lie outside Y",
+    "anchor must lie outside X",
+    "anchor is not the cut vertex of any valid configuration",
+    "anchor is not a branch root of any valid configuration",
+)
+
+# The operations in the order ``applicable_steps`` yields their steps.
+_ORDER = (1, 4, 5, 2, 3)
 
 
 class OperationNotApplicable(ValueError):
@@ -72,51 +96,63 @@ class OpStep:
         return cls(op=int(d["op"]), anchor=int(d["anchor"]), variant=int(d.get("variant", 0)))
 
 
+def _check(step: OpStep, n: int, sets: Sequence[Container[int]]) -> None:
+    """Raise ``OperationNotApplicable`` unless the anchor is a vertex of an
+    order-``n`` triple in its operation's pool.  ``sets`` holds Y, X, the
+    cut vertices and the branch roots; pools 0 and 1 are the vertices
+    outside the first two, pools 2 and 3 the other two."""
+    op, a = step.op, step.anchor
+    if not (0 <= a < n):
+        raise OperationNotApplicable(op, f"anchor {a} is not a vertex")
+    i = _POOL[op]
+    if (a in sets[i]) != (i >= 2):
+        raise OperationNotApplicable(op, _CLAUSE[i])
+
+
+def _extension(step: OpStep, n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], tuple[int, ...]]:
+    """The edges ``(old or earlier new vertex, new vertex)`` that ``step``
+    adds to an order-``n`` triple, in the order of the new vertices, and the
+    vertices that join X and Y."""
+    a, variant = step.anchor, step.variant
+    if step.op == 2:
+        v, w1, w2 = n, n + 1, n + 2
+        return ((a, v), (v, w1), (v, w2)), ((a, w1, w2), (a, v, w1, w2))[variant], (a, v, w1, w2)
+    if step.op == 3:
+        v, w1, w2, w3 = n, n + 1, n + 2, n + 3
+        new_x = ((w1, w2, w3), (a, w1, w2, w3), (v, w1, w2, w3), (a, v, w1, w2, w3))[variant]
+        return ((a, v), (v, w1), (v, w2), (v, w3)), new_x, (a, v, w1, w2, w3)
+    if step.op == 4:
+        return ((a, n),), ((), (n,))[variant], (n,)
+    return ((a, n),), (), ()  # operations 1 and 5 add one unconstrained leaf
+
+
+# New vertices per operation.
+_ADDED = {op: len(_extension(OpStep(op, 0), 0)[0]) for op in _VARIANTS}
+
+
+def _fitting(n: int, max_order: int) -> list[int]:
+    """The operations whose result from order ``n`` stays within
+    ``max_order``, in ``applicable_steps``' order."""
+    return [op for op in _ORDER if n + _ADDED[op] <= max_order]
+
+
 def base_triples() -> tuple[Triple, Triple]:
     """The two one-vertex seeds: fully unconstrained and fully constrained."""
     k1 = Tree(1, ())
     return Triple(k1, frozenset(), frozenset()), Triple(k1, frozenset({0}), frozenset({0}))
 
 
+def _triple_pools(tr: Triple) -> tuple[Sequence[int], ...]:
+    """The anchor pools of ``tr``, each in increasing order."""
+    outside = [[u for u in tr.tree.vertices() if u not in s] for s in (tr.y, tr.x)]
+    return (*outside, *tr.anchors)
+
+
 def apply_op(tr: Triple, step: OpStep) -> Triple:
     """Apply one extension operation, validating its applicability condition."""
-    t, x, y = tr.tree, tr.x, tr.y
-    n, op, a = t.n, step.op, step.anchor
-    if not (0 <= a < n):
-        raise OperationNotApplicable(op, f"anchor {a} is not a vertex")
-    # Operation 2's anchor must avoid Y, not just X: the two-branch reduction
-    # pins the smaller certificate set to Y minus the anchor, so anchoring at
-    # a Y-vertex would demand a second, different certificate set for the
-    # same (tree, X), which uniqueness forbids.  Anchoring at a Y-vertex
-    # demonstrably creates triples the exhaustive oracle rejects.
-    if op in (1, 2) and a in y:
-        raise OperationNotApplicable(op, "anchor must lie outside Y")
-    if op == 3 and a in x:
-        raise OperationNotApplicable(3, "anchor must lie outside X")
-    if op == 4 and a not in tr.anchors[0]:
-        raise OperationNotApplicable(4, "anchor is not the cut vertex of any valid configuration")
-    if op == 5 and a not in tr.anchors[1]:
-        raise OperationNotApplicable(5, "anchor is not a branch root of any valid configuration")
-
-    if op == 2:
-        v, w1, w2 = n, n + 1, n + 2
-        tree = Tree(n + 3, t.edges + ((a, v), (v, w1), (v, w2)))
-        new_x = {a, w1, w2} if step.variant == 0 else {a, v, w1, w2}
-        return Triple(tree, x | new_x, y | {a, v, w1, w2})
-    if op == 3:
-        v, w1, w2, w3 = n, n + 1, n + 2, n + 3
-        tree = Tree(n + 4, t.edges + ((a, v), (v, w1), (v, w2), (v, w3)))
-        new_x = (
-            {w1, w2, w3},
-            {a, w1, w2, w3},
-            {v, w1, w2, w3},
-            {a, v, w1, w2, w3},
-        )[step.variant]
-        return Triple(tree, x | new_x, y | {a, v, w1, w2, w3})
-    tree = Tree(n + 1, t.edges + ((a, n),))  # operations 1, 4 and 5 add one leaf
-    if op == 4:
-        return Triple(tree, x if step.variant == 0 else x | {n}, y | {n})
-    return Triple(tree, x, y)
+    _check(step, tr.n, (tr.y, tr.x, *tr.anchors))
+    edges, new_x, new_y = _extension(step, tr.n)
+    return Triple(Tree(tr.n + len(edges), tr.tree.edges + edges), tr.x.union(new_x), tr.y.union(new_y))
 
 
 def applicable_steps(tr: Triple, max_order: int) -> Iterator[OpStep]:
@@ -125,27 +161,13 @@ def applicable_steps(tr: Triple, max_order: int) -> Iterator[OpStep]:
     ``tr.anchors`` is read, and so the configurations scanned, only when a
     step of order n + 1 fits.
     """
-    n = tr.n
-    if n + 1 > max_order:
-        return
-    outside_y = [u for u in tr.tree.vertices() if u not in tr.y]
-    for u in outside_y:
-        yield OpStep(1, u)
-    cuts, roots = tr.anchors
-    for v in cuts:
-        yield OpStep(4, v, 0)
-        yield OpStep(4, v, 1)
-    for w in roots:
-        yield OpStep(5, w)
-    if n + 3 <= max_order:
-        for u in outside_y:
-            yield OpStep(2, u, 0)
-            yield OpStep(2, u, 1)
-    if n + 4 <= max_order:
-        for u in tr.tree.vertices():
-            if u not in tr.x:
-                for variant in range(4):
-                    yield OpStep(3, u, variant)
+    ops = _fitting(tr.n, max_order)
+    pools = _triple_pools(tr) if ops else ()
+    for op in ops:
+        variants = range(_VARIANTS[op])
+        for a in pools[_POOL[op]]:
+            for variant in variants:
+                yield OpStep(op, a, variant)
 
 
 def enumerate_T(n_max: int) -> dict[str, Triple]:
@@ -175,6 +197,216 @@ def enumerate_T(n_max: int) -> dict[str, Triple]:
     return members
 
 
+class _Pool:
+    """A set of vertices below a fixed capacity that answers ``in``, how
+    many members lie below a bound, and its k-th smallest member, the last
+    two in O(log n): a Fenwick tree over membership flags (Fenwick, "A new
+    data structure for cumulative frequency tables", Software: Practice and
+    Experience 24(3), 1994)."""
+
+    def __init__(self, cap: int, full: bool):
+        self.flags = bytearray([full]) * cap
+        # one-based: tree[i] counts the members among i - lowbit(i) .. i - 1
+        self.tree = [(i & -i) * full for i in range(cap + 1)]
+
+    def __contains__(self, v: int) -> bool:
+        return self.flags[v] == 1
+
+    def below(self, n: int) -> int:
+        tree, count = self.tree, 0
+        while n:
+            count += tree[n]
+            n &= n - 1
+        return count
+
+    def set(self, v: int, member: bool) -> None:
+        if self.flags[v] == member:
+            return
+        self.flags[v] = member
+        d = 1 if member else -1
+        tree, i, end = self.tree, v + 1, len(self.tree)
+        while i < end:
+            tree[i] += d
+            i += i & -i
+
+    def kth(self, k: int) -> int:
+        """The member with exactly ``k`` smaller members."""
+        tree, pos, step = self.tree, 0, 1 << len(self.flags).bit_length()
+        while step:
+            if pos + step < len(tree) and tree[pos + step] <= k:
+                pos += step
+                k -= tree[pos]
+            step >>= 1
+        return pos
+
+
+class _Builder:
+    """A triple under growth that keeps the anchors of operations 4 and 5
+    up to date as steps apply, and builds one validated ``Triple`` at the end.
+
+    Let S be the minimal subtree spanning Y, with |Y| >= 2.  A branch at w,
+    seen from v, holds exactly one Y-vertex exactly when w is a leaf of S and
+    v is its neighbour in S.  By the counting form of ``configurations``, v
+    is then a cut vertex (an op-4 anchor) exactly when v lies in Y, has at
+    least three X-neighbours, and every neighbour of v but at most one is a
+    leaf of S, that one lying in Y.  The branch roots (op-5 anchors) are the
+    leaves of S whose neighbour in S is a cut vertex.
+
+    No operation removes a vertex from Y, so S only grows.  Parent pointers
+    are rooted at the first Y-vertex, and a new Y-vertex joins S by walking
+    them up to S.  Per vertex the builder keeps its degree in S (-1 outside
+    S), the sum of its neighbours in S (a leaf's one neighbour there), its
+    X-neighbour count, how many of its neighbours are leaves of S, and the
+    sum of those that are not (the one such neighbour, when there is one).
+    A step marks the vertices whose counts it changes, and ``_settle``
+    re-derives the anchors there and, where a cut vertex came or went, at
+    its neighbours.  Every count that the cut condition reads changes
+    monotonically after the first Y-vertex, so each vertex changes its cut
+    status O(1) times and growth costs O(log n) amortized per step.
+
+    Every array has room for ``cap`` vertices from the start.  The pools of
+    vertices outside Y and outside X start full, since each new vertex
+    joins both; only their members below ``n`` are vertices.
+    """
+
+    def __init__(self, start: Triple, cap: int):
+        """A builder holding ``start``, with room for ``cap`` vertices."""
+        self.n = start.n
+        self.edges: list[tuple[int, int]] = []
+        self.x: set[int] = set()
+        self.y: set[int] = set()
+        self.adj: list[list[int]] = [[] for _ in range(cap)]
+        self.parent = [-1] * cap
+        self.s_degree = [-1] * cap
+        self.s_sum, self.x_count, self.leaf_count, self.other_sum = ([0] * cap for _ in range(4))
+        self.dirty: set[int] = set()
+        self.pools = (_Pool(cap, True), _Pool(cap, True), _Pool(cap, False), _Pool(cap, False))  # as _POOL
+        for a, b in start.tree.edges:
+            self._link(a, b)
+        for v in start.y:
+            self._join_y(v)
+        for v in start.x:
+            self._join_x(v)
+        self._settle()
+
+    def draw(self, rng: random.Random, max_order: int) -> OpStep:
+        """The step that ``rng.choice(list(applicable_steps(t, max_order)))``
+        picks on the triple t held here, consuming the same randomness."""
+        ops = _fitting(self.n, max_order)
+        sizes = [self.pools[_POOL[op]].below(self.n) * _VARIANTS[op] for op in ops]
+        i = rng.randrange(sum(sizes))
+        for op, size in zip(ops, sizes):
+            if i < size:
+                break
+            i -= size
+        k = _VARIANTS[op]
+        return OpStep(op, self.pools[_POOL[op]].kth(i // k), i % k)
+
+    def apply(self, step: OpStep) -> None:
+        """Apply ``step`` as ``apply_op`` would, raising as it does."""
+        _check(step, self.n, (self.y, self.x, *self.pools[2:]))
+        edges, new_x, new_y = _extension(step, self.n)
+        self.n += len(edges)
+        for a, b in edges:
+            self._link(a, b)
+        for v in new_y:
+            self._join_y(v)
+        for v in new_x:
+            self._join_x(v)
+        self._settle()
+
+    def triple(self) -> Triple:
+        return Triple(Tree(self.n, self.edges), self.x, self.y)
+
+    def _link(self, a: int, b: int) -> None:
+        """Add the edge ab while b lies outside S and X; b hangs from a
+        (before the first Y-vertex, ``_root_at`` resets every parent)."""
+        self.edges.append((a, b))
+        for p, q in ((a, b), (b, a)):
+            self.adj[p].append(q)
+            if self.s_degree[q] == 1:
+                self.leaf_count[p] += 1
+            else:
+                self.other_sum[p] += q
+            self.x_count[p] += q in self.x
+            self.dirty.add(p)
+        self.parent[b] = a
+
+    def _join_y(self, v: int) -> None:
+        if v in self.y:
+            return
+        self.y.add(v)
+        self.pools[0].set(v, False)
+        self.dirty.add(v)
+        self.dirty.update(self.adj[v])  # a neighbour's one non-leaf may be v
+        if len(self.y) == 1:
+            self._root_at(v)
+            return
+        path = []
+        while self.s_degree[v] < 0:
+            path.append(v)
+            v = self.parent[v]
+        for c in reversed(path):
+            self._attach(c, v)
+            v = c
+
+    def _root_at(self, r: int) -> None:
+        """Make r, the first Y-vertex, the one vertex of S and the root of
+        the parent pointers."""
+        self.s_degree[r] = 0
+        self.parent[r] = r
+        order = [r]
+        for p in order:
+            for q in self.adj[p]:
+                if q != self.parent[p]:
+                    self.parent[q] = p
+                    order.append(q)
+
+    def _attach(self, c: int, p: int) -> None:
+        """Add c to S as a leaf hanging from p."""
+        self.s_degree[c] = 1
+        self.s_sum[c] = p
+        self._set_leaf(c, 1)
+        self.s_degree[p] += 1
+        self.s_sum[p] += c
+        if self.s_degree[p] <= 2:  # p became a leaf (it was S alone) or stopped being one
+            self._set_leaf(p, 1 if self.s_degree[p] == 1 else -1)
+
+    def _set_leaf(self, z: int, d: int) -> None:
+        """Record that z became a leaf of S (d = 1) or stopped being one (d = -1)."""
+        for w in self.adj[z]:
+            self.leaf_count[w] += d
+            self.other_sum[w] -= d * z
+        self.dirty.update(self.adj[z])
+        self.dirty.add(z)
+
+    def _join_x(self, v: int) -> None:
+        if v in self.x:
+            return
+        self.x.add(v)
+        self.pools[1].set(v, False)
+        for w in self.adj[v]:
+            self.x_count[w] += 1
+        self.dirty.update(self.adj[v])
+
+    def _is_cut(self, v: int) -> bool:
+        k = len(self.adj[v]) - self.leaf_count[v]  # neighbours that are not leaves of S
+        return v in self.y and self.x_count[v] >= 3 and (k == 0 or (k == 1 and self.other_sum[v] in self.y))
+
+    def _settle(self) -> None:
+        cuts, roots = self.pools[2], self.pools[3]
+        for v in list(self.dirty):
+            cut = self._is_cut(v)
+            if cut != (v in cuts):
+                cuts.set(v, cut)
+                self.dirty.update(self.adj[v])
+        for w in self.dirty:
+            root = self.s_degree[w] == 1 and self.s_sum[w] in cuts
+            if root != (w in roots):
+                roots.set(w, root)
+        self.dirty.clear()
+
+
 def random_member(n: int, seed: int) -> tuple[Triple, list[OpStep]]:
     """A pseudo-random member of order exactly ``n`` with its growth recipe.
 
@@ -187,23 +419,27 @@ def random_member(n: int, seed: int) -> tuple[Triple, list[OpStep]]:
     if n < 1:
         raise ValueError("order must be at least 1")
     rng = random.Random(seed)
-    tr, full = base_triples()
+    empty, full = base_triples()
     if n == 1:
-        return rng.choice((tr, full)), []
+        return rng.choice((empty, full)), []
     # Growth never dead-ends: a grown member has X empty (then Y is empty
     # and operation 1 fits) or |X| >= 3 (then it has a configuration, and
     # operation 4 fits at its cut vertex).
+    builder = _Builder(empty, n)
     steps: list[OpStep] = []
-    while tr.n < n:
-        step = rng.choice(list(applicable_steps(tr, n)))
-        tr = apply_op(tr, step)
+    while builder.n < n:
+        step = builder.draw(rng, n)
+        builder.apply(step)
         steps.append(step)
-    return tr, steps
+    return builder.triple(), steps
 
 
 def replay(steps: Iterable[OpStep], start: Optional[Triple] = None) -> Triple:
-    """Re-run a recorded step list from a seed (default: the unconstrained one)."""
-    tr = base_triples()[0] if start is None else start
+    """Re-run a recorded step list from a seed (default: the unconstrained
+    one), checking every step as ``apply_op`` does."""
+    start = base_triples()[0] if start is None else start
+    steps = list(steps)
+    builder = _Builder(start, start.n + sum(_ADDED[s.op] for s in steps))
     for step in steps:
-        tr = apply_op(tr, step)
-    return tr
+        builder.apply(step)
+    return builder.triple()

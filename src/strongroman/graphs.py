@@ -46,11 +46,12 @@ class NotATreeError(ValueError):
 def _raise_first_bad_edge(n: int, edges: list) -> None:
     """Check the edges one by one and raise for the first bad one in input order.
 
-    Each edge that passes is also added to a per-vertex list, as a one-pass
-    build would, so an endpoint that is no list index fails at its own edge.
+    An edge that passes must also have endpoints that can index the
+    per-vertex lists of a one-pass build, so an endpoint that is no integer
+    fails at its own edge, with the error that indexing raises.  Nothing is
+    allocated per vertex.
     """
     seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
         if not (0 <= a < n and 0 <= b < n):
             raise VertexRangeError(f"edge ({a},{b}) leaves the vertex range 0..{n - 1}")
@@ -60,8 +61,9 @@ def _raise_first_bad_edge(n: int, edges: list) -> None:
         if e in seen:
             raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
         seen.add(e)
-        adj[a].append(b)
-        adj[b].append(a)
+        for v in (a, b):
+            if not hasattr(v, "__index__"):
+                raise TypeError(f"list indices must be integers or slices, not {type(v).__name__}")
 
 
 class Graph:

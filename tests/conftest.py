@@ -8,12 +8,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 
 import networkx as nx
 import pytest
 
+import strongroman
 from strongroman.generator import enumerate_T
 from strongroman.graphs import Graph, Tree
 from strongroman.roman import Assignment, is_rdf, is_wrdf
@@ -118,6 +123,18 @@ def naive_gamma_R(g: Graph, x) -> int:
         if is_rdf(g, x, f) and (best is None or f.weight < best):
             best = f.weight
     return best
+
+
+def run_child(script: str, *args):
+    """Run ``script`` in a fresh interpreter that imports this package;
+    return what it prints as JSON."""
+    src = os.path.dirname(os.path.dirname(strongroman.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
 
 
 @pytest.fixture(scope="session")

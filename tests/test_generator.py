@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from strongroman.graphs import Tree
 from strongroman.generator import (
     OperationNotApplicable,
     OpStep,
+    _Builder,
     apply_op,
     applicable_steps,
     base_triples,
@@ -233,7 +235,8 @@ def test_apply_op_accepts_exactly_the_yielded_anchors():
 
 def test_configurations_scanned_once_per_parent(monkeypatch):
     # Triple.anchors keeps the scan, so listing a parent's steps and applying
-    # its op-4 and op-5 steps scan the parent once, and a child not at all
+    # its op-4 and op-5 steps scan the parent once, and a child not at all;
+    # growth and replay keep the anchors on the builder and scan no triple
     scanned = []
     scan = recognizer.configurations
 
@@ -241,18 +244,67 @@ def test_configurations_scanned_once_per_parent(monkeypatch):
         scanned.append(tr)  # keeps each scanned triple alive, so ids stay unique
         return scan(tr)
 
-    def once_each() -> set:
-        ids = {id(tr) for tr in scanned}
-        assert 0 < len(ids) == len(scanned)
-        return ids
-
     monkeypatch.setattr(recognizer, "configurations", counting)
     members = enumerate_T(8)
-    assert once_each() <= {id(m) for m in members.values() if m.n < 8}
+    ids = {id(tr) for tr in scanned}
+    assert 0 < len(ids) == len(scanned)
+    assert ids <= {id(m) for m in members.values() if m.n < 8}
+    scanned.clear()
     for seed in range(3):
-        scanned.clear()
         tr, steps = random_member(60, seed)
-        assert len(once_each()) <= len(steps)  # one parent per step
-        scanned.clear()
         assert replay(steps) == tr
-        assert len(once_each()) <= len(steps)
+    assert scanned == []
+
+
+def builder_anchors(b: _Builder) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(tuple(v for v in range(b.n) if v in pool) for pool in b.pools[2:])
+
+
+@pytest.mark.parametrize("n", [12, 60, 200, 500])
+def test_builder_anchors_follow_every_step(n):
+    # the anchors kept up to date on the builder equal a fresh scan of the
+    # triple that apply_op builds, after every step of seeded growth
+    for seed in range(4):
+        grown, steps = random_member(n, seed)
+        builder, tr = _Builder(EMPTY, n), EMPTY
+        for step in steps:
+            builder.apply(step)
+            tr = apply_op(tr, step)
+            assert builder_anchors(builder) == tr.anchors
+        assert builder.triple() == tr == grown
+
+
+def test_builder_seeded_from_every_member(closure10):
+    # a builder started from any member of enumerate_T(8) holds its anchors,
+    # and applying any step there (replay from that member) gives what
+    # apply_op gives
+    for m in (m for m in closure10.values() if m.n <= 8):
+        assert builder_anchors(_Builder(m, m.n)) == m.anchors
+        for step in applicable_steps(m, m.n + 4):
+            assert replay([step], m) == apply_op(m, step)
+
+
+def test_builder_anchors_on_every_small_triple():
+    # the anchor characterization holds for any X <= Y, member or not: every
+    # tree up to order 7 with every such pair
+    for n in range(1, 8):
+        for t in trees_of_order(n):
+            for y in subsets(n):
+                for x in subsets(n):
+                    if x <= y:
+                        tr = Triple(t, x, y)
+                        assert builder_anchors(_Builder(tr, n)) == tr.anchors
+
+
+def test_replay_refuses_what_apply_op_refuses():
+    for tr in enumerate_T(7).values():
+        for op, variant in ((1, 0), (2, 0), (3, 0), (4, 1), (5, 0)):
+            for a in (-1, *tr.tree.vertices(), tr.n):
+                step = OpStep(op, a, variant)
+                try:
+                    expected = apply_op(tr, step)
+                except OperationNotApplicable as err:
+                    with pytest.raises(OperationNotApplicable, match=f"^{re.escape(str(err))}$"):
+                        replay([step], tr)
+                else:
+                    assert replay([step], tr) == expected

@@ -28,7 +28,7 @@ from strongroman.graphs import (
 )
 from strongroman.recognizer import triple_for_tree
 
-from conftest import caterpillar, prufer_tree, trees_of_order
+from conftest import caterpillar, prufer_tree, run_child, trees_of_order
 from reference_canon import canonical_relabel as reference_relabel
 from reference_parse import parse_edge_list as reference_parse
 
@@ -309,6 +309,20 @@ def random_edge_list(rng):
     return n, edges, labels
 
 
+# The error that parsing a short input with a huge header raises, in a child
+# capped at 1 GiB of address space.
+_BAD_EDGE_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import json
+from strongroman.graphs import parse_edge_list
+try:
+    parse_edge_list("100000000 1\\n0 0\\n")
+except Exception as exc:
+    print(json.dumps([type(exc).__name__, str(exc)]))
+"""
+
+
 class TestConstruction:
     def test_bulk_validation_matches_per_edge_loop(self):
         rng = random.Random(2024)
@@ -361,6 +375,12 @@ class TestConstruction:
         with pytest.raises(NotATreeError) as got:
             Tree.from_graph(Graph(n, edges))
         assert str(got.value) == str(ref.value)
+
+    def test_first_bad_edge_in_bounded_memory(self):
+        # a header that claims 10^8 vertices before one self-loop: naming the
+        # bad edge allocates nothing per vertex, in a child capped at 1 GiB
+        # of address space
+        assert run_child(_BAD_EDGE_CHILD) == ["SelfLoopError", "line 2: self-loop at vertex 0"]
 
     def test_from_graph_copies_labels(self):
         g = Graph(3, [(0, 1), (1, 2)], labels={0: "a"})

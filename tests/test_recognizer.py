@@ -1,14 +1,10 @@
 import contextlib
 import dataclasses
-import json
-import os
 import random
-import subprocess
 import sys
 
 import pytest
 
-import strongroman
 from strongroman.graphs import Tree, format_edge_list
 from strongroman.recognizer import (
     BASE_K1_FULL,
@@ -28,7 +24,7 @@ from strongroman.recognizer import (
 )
 from strongroman.solver import solve_report
 
-from conftest import caterpillar, prufer_tree, subsets, trees_of_order
+from conftest import caterpillar, prufer_tree, run_child, subsets, trees_of_order
 from reference_chain import child_triple
 
 K1 = Tree(1, ())
@@ -440,18 +436,6 @@ print(json.dumps(results))
 """
 
 
-def run_child(script: str, *args):
-    """Run ``script`` in a fresh interpreter that imports this package;
-    return what it prints as JSON."""
-    src = os.path.dirname(os.path.dirname(strongroman.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, env=env, timeout=300
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(proc.stdout)
-
-
 @contextlib.contextmanager
 def default_recursion_limit():
     limit = sys.getrecursionlimit()
@@ -508,3 +492,20 @@ class TestScale:
             assert ok and verify_trace(tr, trace)
             ok, _ = decide_in_S(Triple(tr.tree, tr.x, tr.y - {random.Random(seed).choice(extra)}))
             assert not ok
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_member_ten_thousand(self, seed):
+        # the generator's and the recognizer's routes agree at scale: the
+        # grown member is accepted, its trace verifies, its steps rebuild it,
+        # and dropping any one of three vertices of Y - X from Y is rejected
+        from strongroman.generator import random_member, replay
+
+        tr, steps = random_member(10_000, seed)
+        assert replay(steps) == tr
+        extra = sorted(tr.y - tr.x)
+        with default_recursion_limit():
+            ok, trace = decide_in_S(tr)
+            assert ok and verify_trace(tr, trace)
+            for v in random.Random(seed).sample(extra, 3):
+                ok, _ = decide_in_S(Triple(tr.tree, tr.x, tr.y - {v}))
+                assert not ok
