@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .solver import SizeCapError, gamma_R, gamma_r
+from .solver import VALUE_CAP, SizeCapError, _require_cap, _weak_search
 
 Literal = tuple[int, bool]  # (variable index, polarity)
 
@@ -205,11 +205,9 @@ def verify_gadget(f: CnfFormula) -> GadgetReport:
     """
     if any(len(clause) < 2 for clause in f.clauses):
         raise CnfError("quantitative verification needs every clause to have at least two literals")
-    gg = build_gadget(f)
-    g = gg.graph
-    x = range(g.n)
-    gr = gamma_r(g, x)
-    gR = gamma_R(g, x)
+    g = build_gadget(f).graph
+    _require_cap(g, VALUE_CAP)
+    _, gR, gr, _ = _weak_search(g, (1 << g.n) - 1, 0, False)
     sat = sat_brute_force(f)
     if gr != 2 * f.n_vars:
         raise GadgetConsistencyError(

@@ -3,8 +3,10 @@
 Everything here is a brute-force evaluation of the definitions, engineered to
 stay usable at desk scale: the weak search is a depth-first walk over all
 assignments in a fixed vertex order that prunes on partial weight, and the
-Roman number enumerates candidate value-2 sets.  Results are deterministic;
-minimum assignments come out in lexicographic digit order.
+Roman number enumerates candidate value-2 sets.  Every weak query goes
+through ``_weak_search``, which builds one bit graph, sweeps the Roman number
+once as the search bound and hands both numbers back.  Results are
+deterministic; minimum assignments come out in lexicographic digit order.
 """
 
 from __future__ import annotations
@@ -69,15 +71,6 @@ class _BitGraph:
         return self.lo[mask & self.lo_mask] | self.hi[mask >> self.h]
 
 
-def _set_of(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return frozenset(out)
-
-
 def _gamma_R_bits(bg: _BitGraph, x: int) -> int:
     # Exact rewrite of the minimum: fix the value-2 set d, then the value-1
     # set is forced to be the x-vertices neither in d nor next to it.
@@ -106,6 +99,7 @@ def _search_wrdfs(bg: _BitGraph, x0: int, x1: int, bound: int, collect: bool):
     best = bound
     minima: list[tuple[int, int]] = []
 
+    # Repeats _can_rescue's loop inline: the hot check at the leaves, where a shared function measured slower.
     def wrdf_ok(ones: int, twos: int) -> bool:
         pos = ones | twos
         need = xall & ~pos
@@ -177,33 +171,35 @@ def gamma_R(g: Graph, x: Iterable[int]) -> int:
     return _gamma_R_bits(_BitGraph(g), sum(1 << v for v in vertex_subset(g, x, "x")))
 
 
+def _weak_search(g: Graph, x0: int, x1: int, collect: bool):
+    """The weak search on vertex masks ``x0`` and ``x1`` (disjoint).
+
+    Builds one bit graph and sweeps the Roman number of ``x0 | x1`` once as
+    the bound; returns the bit graph, that Roman number, the weak number and
+    (when ``collect``) the minimum ``(ones, twos)`` pairs.
+    """
+    bg = _BitGraph(g)
+    roman = _gamma_R_bits(bg, x0 | x1)
+    best, minima = _search_wrdfs(bg, x0, x1, roman, collect)
+    return bg, roman, best, minima
+
+
 def gamma_r(g: Graph, x0: Iterable[int], x1: Iterable[int] = ()) -> int:
     """Minimum weight of a weak Roman dominating function for ``(g, x0, x1)``."""
     _require_cap(g, VALUE_CAP)
-    bg = _BitGraph(g)
     m0 = sum(1 << v for v in vertex_subset(g, x0, "x0"))
     m1 = sum(1 << v for v in vertex_subset(g, x1, "x1"))
     if m0 & m1:
         raise ValueError("x0 and x1 must be disjoint")
-    bound = _gamma_R_bits(bg, m0 | m1)
-    best, _ = _search_wrdfs(bg, m0, m1, bound, collect=False)
-    return best
-
-
-def _minimum_wrdfs_masks(g: Graph, x0m: int, x1m: int):
-    bg = _BitGraph(g)
-    bound = _gamma_R_bits(bg, x0m | x1m)
-    best, minima = _search_wrdfs(bg, x0m, x1m, bound, collect=True)
-    return bg, bound, best, minima
+    return _weak_search(g, m0, m1, False)[2]
 
 
 def enumerate_minimum_wrdfs(g: Graph, x: Iterable[int]) -> list[Assignment]:
     """All minimum weak Roman dominating functions, lexicographic by digits."""
     _require_cap(g, ENUMERATION_CAP)
     xm = sum(1 << v for v in vertex_subset(g, x, "x"))
-    _, _, _, minima = _minimum_wrdfs_masks(g, xm, 0)
     out = []
-    for ones, twos in minima:
+    for ones, twos in _weak_search(g, xm, 0, True)[3]:
         values = tuple(
             2 if twos >> v & 1 else 1 if ones >> v & 1 else 0 for v in range(g.n)
         )
@@ -217,7 +213,7 @@ def solve_report(g: Graph, x: Iterable[int]) -> SolveReport:
     """
     _require_cap(g, ENUMERATION_CAP)
     xm = sum(1 << v for v in vertex_subset(g, x, "x"))
-    bg, roman, best, minima = _minimum_wrdfs_masks(g, xm, 0)
+    bg, roman, best, minima = _weak_search(g, xm, 0, True)
     nbhd = bg.nbhd
     full = (1 << g.n) - 1
     all_rdf = True
@@ -238,7 +234,7 @@ def solve_report(g: Graph, x: Iterable[int]) -> SolveReport:
         gamma_R=roman,
         min_wrdf_count=len(minima),
         all_min_wrdfs_are_rdf=all_rdf,
-        y=_set_of(y),
+        y=frozenset(v for v in range(g.n) if y >> v & 1),
     )
 
 

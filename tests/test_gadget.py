@@ -1,5 +1,6 @@
 import pytest
 
+from strongroman import gadget, solver
 from strongroman.gadget import (
     SAT_VARS_CAP,
     CnfError,
@@ -19,6 +20,16 @@ SAMPLE = CnfFormula(
     (
         ((0, True), (1, True), (2, False)),
         ((0, False), (1, True), (2, False)),
+    ),
+)
+# all four two-literal clause patterns over two variables: unsatisfiable
+ALL_FOUR_PAIRS = CnfFormula(
+    2,
+    (
+        ((0, True), (1, True)),
+        ((0, True), (1, False)),
+        ((0, False), (1, True)),
+        ((0, False), (1, False)),
     ),
 )
 
@@ -154,17 +165,7 @@ class TestQuantitative:
         assert rep.satisfiable and rep.gamma_r == rep.gamma_R == 4
 
     def test_width_two_unsatisfiable(self):
-        # all four two-literal clause patterns over two variables
-        f = CnfFormula(
-            2,
-            (
-                ((0, True), (1, True)),
-                ((0, True), (1, False)),
-                ((0, False), (1, True)),
-                ((0, False), (1, False)),
-            ),
-        )
-        rep = verify_gadget(f)
+        rep = verify_gadget(ALL_FOUR_PAIRS)
         assert not rep.satisfiable
         assert rep.gamma_r == 4 and rep.gamma_R == 5
         assert rep.iff_holds
@@ -181,3 +182,49 @@ class TestQuantitative:
         assert gamma_r(g, range(g.n)) == 3
         assert gamma_R(g, range(g.n)) == 3
         assert not sat_brute_force(f)
+
+
+class TestVerifyGadgetSearch:
+    """``verify_gadget`` takes both numbers from one weak search."""
+
+    def test_one_bit_graph_and_one_roman_sweep(self, monkeypatch):
+        calls = {"_BitGraph": 0, "_gamma_R_bits": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(solver, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        assert verify_gadget(SAMPLE).iff_holds
+        assert calls == {"_BitGraph": 1, "_gamma_R_bits": 1}
+
+    @staticmethod
+    def _fake_search(monkeypatch, gamma_R, gamma_r):
+        monkeypatch.setattr(gadget, "_weak_search", lambda *_: (None, gamma_R, gamma_r, []))
+
+    def test_weak_number_off_twice_the_variables(self, monkeypatch):
+        self._fake_search(monkeypatch, gamma_R=6, gamma_r=5)
+        with pytest.raises(GadgetConsistencyError, match="weak Roman number 5 differs"):
+            verify_gadget(SAMPLE)
+
+    def test_equality_disagrees_with_satisfiability(self, monkeypatch):
+        self._fake_search(monkeypatch, gamma_R=7, gamma_r=6)  # satisfiable, yet unequal
+        with pytest.raises(GadgetConsistencyError, match=r"\(6 vs 7\) disagrees .* \(True\)"):
+            verify_gadget(SAMPLE)
+        self._fake_search(monkeypatch, gamma_R=4, gamma_r=4)  # unsatisfiable, yet equal
+        with pytest.raises(GadgetConsistencyError, match=r"\(4 vs 4\) disagrees .* \(False\)"):
+            verify_gadget(ALL_FOUR_PAIRS)
+
+    def test_cap_before_any_bit_graph(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError(f"search started on order {g.n}")
+
+        monkeypatch.setattr(solver, "_BitGraph", refuse)
+        f = CnfFormula(
+            4,
+            (((0, True), (1, True)), ((1, False), (2, True)), ((2, False), (3, True))),
+        )
+        assert build_gadget(f).graph.n == 19  # one past the value cap
+        with pytest.raises(SizeCapError, match="graph order 19 exceeds the configured cap 18"):
+            verify_gadget(f)

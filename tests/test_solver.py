@@ -4,6 +4,7 @@ import pytest
 
 from strongroman import solver
 from strongroman.graphs import Tree
+from strongroman.roman import is_wrdf
 from strongroman.solver import (
     SizeCapError,
     compute_Y,
@@ -168,6 +169,16 @@ class TestAgainstNaiveEnumeration:
                 got = enumerate_minimum_wrdfs(g, x)
                 assert [a.digits() for a in got] == sorted(f.digits() for f in expected)
                 assert gamma_R(g, x) == naive_gamma_R(g, x)
+                # Y by its definition: X, plus what some naive minimum covers
+                # or can rescue as an extra vertex outside X
+                y = set(x)
+                for f in expected:
+                    y |= f.positive_set()
+                    y.update(
+                        u for u in range(g.n)
+                        if u not in x and f.values[u] == 0 and is_wrdf(g, x, {u}, f)
+                    )
+                assert solve_report(g, x).y == y
 
     def test_random_two_set_queries(self):
         rng = random.Random(99)
