@@ -143,6 +143,8 @@ def build_gadget(f: CnfFormula) -> GadgetGraph:
     clause, clause vertices wired to the literals they contain.
     """
     n = 4 * f.n_vars + f.n_clauses
+    if n == 0:
+        raise CnfError("a formula with no variables and no clauses has no gadget vertex")
     edges = []
     labels = {}
     for i in range(f.n_vars):

@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
-from .graphs import Tree, _canonical_mapping, _canonical_rooting
+from .graphs import Tree, _canonical_mapping, _canonical_rooting, rooted
 from .recognizer import Triple
 from .solver import SizeCapError
 
@@ -354,13 +354,7 @@ class _Builder:
         """Make r, the first Y-vertex, the one vertex of S and the root of
         the parent pointers."""
         self.s_degree[r] = 0
-        self.parent[r] = r
-        order = [r]
-        for p in order:
-            for q in self.adj[p]:
-                if q != self.parent[p]:
-                    self.parent[q] = p
-                    order.append(q)
+        self.parent = rooted(self.adj, r)[0]  # trailing slots, as yet no vertex, stay -1
 
     def _attach(self, c: int, p: int) -> None:
         """Add c to S as a leaf hanging from p."""

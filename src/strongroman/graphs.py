@@ -3,11 +3,12 @@
 Vertices are always the integers ``0 .. n-1``.  Labels, when present, are
 cosmetic metadata and never participate in equality or canonical forms.
 This module owns the primitives the other modules share: the adjacency
-tuples, the one breadth-first traversal (``rooted``) and the vertex-range
-check on vertex sets (``vertex_subset``).  A tree keeps the traversal from
-vertex 0 that certified it (``Tree.walk``), so passes rooted there do not
-walk it again.  The edge-list parser reads all edges in bulk and lets
-``Graph`` check them; it walks the lines one by one only to name a bad one.
+tuples, the one breadth-first traversal (``rooted(adj, root)``, over any
+sequence of neighbour lists; every rooted pass goes through it) and the
+vertex-range check on vertex sets (``vertex_subset``).  A tree keeps the
+traversal from vertex 0 that certified it (``Tree.walk``), so passes rooted
+there do not walk it again.  The edge-list parser reads all edges in bulk and
+lets ``Graph`` check them; it walks the lines one by one only to name a bad one.
 ``parse_tree`` checks the header's edge count before the parser runs.
 """
 
@@ -16,7 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import ne
-from typing import Iterable, Mapping, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -70,7 +72,8 @@ class Graph:
     """A finite simple undirected graph on vertices ``0 .. n-1``.
 
     Instances are immutable after construction and safe to share between
-    concurrent tasks.  Equality and hashing ignore labels.  Construction
+    concurrent tasks; ``labels`` is a read-only view of the constructor's
+    copy.  Equality and hashing ignore labels.  Construction
     sorts the edges once and validates them in one linear pass;
     ``Tree.from_graph`` checks the tree property without rebuilding.
     """
@@ -107,7 +110,7 @@ class Graph:
             for v in labels:
                 if not (0 <= v < n):
                     raise VertexRangeError(f"label for unknown vertex {v}")
-            labels = dict(labels)
+            labels = MappingProxyType(dict(labels))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
@@ -140,11 +143,11 @@ class Graph:
         return f"{type(self).__name__}(n={self.n}, m={len(self.edges)})"
 
 
-def rooted(g: Graph, root: int) -> tuple[list[int], list[int]]:
-    """Parent of every vertex reached from ``root`` (the root is its own,
-    any other vertex -1) and the reached vertices in breadth-first order."""
-    adj = g._adj
-    parent = [-1] * g.n
+def rooted(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """Parent of every vertex reached from ``root`` over the neighbour lists
+    ``adj`` (the root is its own, any other entry -1, so the list is as long
+    as ``adj``) and the reached vertices in breadth-first order."""
+    parent = [-1] * len(adj)
     order = [root]
     parent[root] = root
     for v in order:
@@ -166,13 +169,13 @@ def vertex_subset(g: Graph, s: Iterable[int], name: str) -> frozenset[int]:
 
 def is_tree(g: Graph) -> bool:
     """True iff ``g`` is connected and acyclic."""
-    return len(g.edges) == g.n - 1 and len(rooted(g, 0)[1]) == g.n
+    return len(g.edges) == g.n - 1 and len(rooted(g._adj, 0)[1]) == g.n
 
 
 def _certified_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``rooted(g, 0)`` as tuples, once it shows that ``g`` is a tree."""
+    """``rooted(g._adj, 0)`` as tuples, once it shows that ``g`` is a tree."""
     if len(g.edges) == g.n - 1:
-        parent, order = rooted(g, 0)
+        parent, order = rooted(g._adj, 0)
         if len(order) == g.n:
             return tuple(parent), tuple(order)
     raise NotATreeError(f"graph on {g.n} vertices with {len(g.edges)} edges is not a tree")
@@ -181,8 +184,8 @@ def _certified_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class Tree(Graph):
     """A graph certified connected and acyclic at construction time.
 
-    ``walk`` keeps the certifying traversal, ``rooted(t, 0)`` as a pair of
-    tuples, for the passes that root the tree at vertex 0.
+    ``walk`` keeps the certifying traversal, ``rooted(t._adj, 0)`` as a
+    pair of tuples, for the passes that root the tree at vertex 0.
     """
 
     __slots__ = ("walk",)
@@ -196,9 +199,8 @@ class Tree(Graph):
         """``g`` as a tree, sharing its validated immutable structure."""
         walk = _certified_walk(g)
         t = object.__new__(cls)
-        for name in ("n", "edges", "_adj"):
+        for name in ("n", "edges", "labels", "_adj"):
             object.__setattr__(t, name, getattr(g, name))
-        object.__setattr__(t, "labels", None if g.labels is None else dict(g.labels))
         object.__setattr__(t, "walk", walk)
         return t
 
@@ -349,29 +351,21 @@ def split_at(t: Tree, v: int, u: int) -> Split:
 
 
 def _centers(t: Tree) -> list[int]:
-    """The one or two middle vertices of the tree (leaf peeling)."""
-    if t.n <= 2:
-        return list(t.vertices())
-    degree = [t.degree(v) for v in t.vertices()]
-    layer = [v for v in t.vertices() if degree[v] == 1]
-    remaining = t.n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in t.neighbors(v):
-                degree[u] -= 1
-                if degree[u] == 1:
-                    nxt.append(u)
-            degree[v] = 0
-        layer = nxt
-    return sorted(layer)
+    """The one or two middle vertices of the tree, sorted: a farthest vertex
+    from any start ends a longest path, so a double sweep finds one, and its
+    middle is the centre."""
+    end = t.walk[1][-1]
+    parent, order = rooted(t._adj, end)
+    path = [order[-1]]
+    while path[-1] != end:
+        path.append(parent[path[-1]])
+    return sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
 
 
 def _rooted_encoding(t: Tree, colors: Mapping[int, int], root: int) -> tuple[list[str], list[int]]:
     """Bottom-up subtree encodings (equal strings iff color-isomorphic
     subtrees) and the parent list of ``t`` rooted at ``root``."""
-    parent, order = rooted(t, root)
+    parent, order = rooted(t._adj, root)
     enc = [""] * t.n
     for v in reversed(order):
         kids = sorted(enc[u] for u in t.neighbors(v) if u != parent[v])
@@ -431,19 +425,6 @@ def canonical_form(t: Tree, colors: Optional[Mapping[int, int]] = None) -> str:
     return _canonical_rooting(t, colors)[0]
 
 
-def _bfs(t: Tree, source: int) -> tuple[list[int], list[int]]:
-    """Distances from ``source`` and the vertices in visiting order."""
-    dist = [-1] * t.n
-    dist[source] = 0
-    order = [source]
-    for v in order:
-        for u in t.neighbors(v):
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                order.append(u)
-    return dist, order
-
-
 def longest_x_path(t: Tree, x: Iterable[int]) -> list[int]:
     """A maximum-length path whose two endpoints both lie in ``x``.
 
@@ -459,27 +440,36 @@ def longest_x_path(t: Tree, x: Iterable[int]) -> list[int]:
             raise ValueError(f"vertex {a} out of range")
     if len(xs) < 2:
         raise ValueError("need at least two marked vertices")
+    adj = t._adj
+
+    def sweep(source: int) -> tuple[list[int], list[int], list[int]]:
+        parent, order = rooted(adj, source)
+        depth = [0] * t.n
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+        return parent, order, depth
+
     # Every X-vertex that ends a longest X-path lies length/2 from the middle
     # of those paths.  Sweep one returns the smallest such end off xs[0]'s
     # side of the middle, sweep two the smallest off a's side; the smallest
     # end of all is off one of the two sides, so it is a or b.
-    d0, _ = _bfs(t, xs[0])
+    d0 = sweep(xs[0])[2]
     a = max(xs, key=d0.__getitem__)
-    da, _ = _bfs(t, a)
+    da = sweep(a)[2]
     b = max(xs, key=da.__getitem__)
     length = da[b]
     start = min(a, b)
 
-    depth, order = _bfs(t, start)
+    parent, order, depth = sweep(start)
     xset = set(xs)
     reaches = bytearray(t.n)  # subtree holds an X-vertex at depth ``length``
     for v in reversed(order):
         if depth[v] == length and v in xset:
             reaches[v] = 1
-        if reaches[v] and v != start:
-            reaches[next(u for u in t.neighbors(v) if depth[u] < depth[v])] = 1
+        if reaches[v]:
+            reaches[parent[v]] = 1  # the root is its own parent
     path = [start]
     while len(path) <= length:
         v = path[-1]
-        path.append(next(u for u in t.neighbors(v) if depth[u] > depth[v] and reaches[u]))
+        path.append(next(u for u in adj[v] if parent[u] == v and reaches[u]))
     return path

@@ -413,8 +413,8 @@ def _decide(tr: Triple) -> tuple[bool, ReductionTrace]:
     if chain.x_count > 2:
         # A breadth-first order lists vertices by depth, so its last X-vertex
         # is a farthest one, and its last live X-vertex a deepest one.
-        _, order = rooted(tr.tree, min(tr.x))
-        parent, order = rooted(tr.tree, next(a for a in reversed(order) if x[a]))
+        _, order = rooted(adj, min(tr.x))
+        parent, order = rooted(adj, next(a for a in reversed(order) if x[a]))
         todo = [a for a in order if x[a]]
     while chain.x_count > 2:
         while not (alive[todo[-1]] and x[todo[-1]]):

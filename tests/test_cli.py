@@ -159,6 +159,13 @@ class TestGadget:
         code, (err,) = run_json(capsys, ["gadget", str(p)])
         assert code == 2 and err["error"]["type"] == "CnfError"
 
+    def test_empty_formula(self, capsys, tmp_path):
+        p = tmp_path / "empty.cnf"
+        p.write_text("p cnf 0 0\n")
+        code, (err,) = run_json(capsys, ["gadget", str(p)])
+        assert code == 2 and err["error"]["type"] == "CnfError"
+        assert "no variables and no clauses" in err["error"]["message"]
+
 
 class TestVerifyCommand:
     def _roundtrip(self, capsys, tmp_path, argv, expect_exit=0):

@@ -20,7 +20,7 @@ from strongroman.generator import (
 from strongroman.recognizer import Triple, decide_in_S, triple_for_tree
 from strongroman.solver import SizeCapError, in_S_oracle
 
-from conftest import subsets, trees_of_order
+from conftest import run_child, subsets, trees_of_order
 
 EMPTY, FULL = base_triples()
 K13_FULL = triple_for_tree(Tree(4, [(1, 0), (1, 2), (1, 3)]))
@@ -308,3 +308,25 @@ def test_replay_refuses_what_apply_op_refuses():
                         replay([step], tr)
                 else:
                     assert replay([step], tr) == expected
+
+
+# The canonical key of a path grown by operation 1 at the newest vertex
+# (X = Y = empty), in a child capped at 1 GiB of address space.
+_PATH_KEY_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import json
+from strongroman.generator import OpStep, replay
+tr = replay([OpStep(1, i) for i in range(39_999)])
+tr.canonical_key
+print(json.dumps(tr.n))
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the nested-string canonical key is quadratic in depth, "
+    "so the key of a 40,000-vertex path raises MemoryError under 1 GiB",
+)
+def test_path_key_in_bounded_memory():
+    assert run_child(_PATH_KEY_CHILD) == 40_000

@@ -227,7 +227,7 @@ class TestKeptWalk:
     def assert_kept(t):
         parent, order = t.walk
         assert type(parent) is tuple and type(order) is tuple
-        assert (list(parent), list(order)) == rooted(t, 0)
+        assert (list(parent), list(order)) == rooted(t._adj, 0)
 
     def test_every_way_to_build_a_tree(self):
         rng = random.Random(17)
@@ -239,6 +239,9 @@ class TestKeptWalk:
             self.assert_kept(t)
             self.assert_kept(Tree.from_graph(Graph(n, edges)))
             self.assert_kept(triple_for_tree(t).canonicalized()[0].tree)
+            # the generator builder's shape: empty slots for vertices not yet added read -1
+            padded = [*map(list, t._adj), [], []]
+            assert rooted(padded, 0) == ([*t.walk[0], -1, -1], list(t.walk[1]))
             if n > 1:
                 v, u = edges[0]
                 self.assert_kept(split_at(t, v, u).t_prime)
@@ -382,12 +385,17 @@ class TestConstruction:
         # of address space
         assert run_child(_BAD_EDGE_CHILD) == ["SelfLoopError", "line 2: self-loop at vertex 0"]
 
-    def test_from_graph_copies_labels(self):
-        g = Graph(3, [(0, 1), (1, 2)], labels={0: "a"})
+    def test_from_graph_labels_are_read_only(self):
+        source = {0: "a"}
+        g = Graph(3, [(0, 1), (1, 2)], labels=source)
         t = Tree.from_graph(g)
-        g.labels[0] = "changed"
-        g.labels[2] = "new"
-        assert t.labels == {0: "a"}
+        source[0] = "changed"
+        for obj in (g, t):
+            with pytest.raises(TypeError):
+                obj.labels[0] = "changed"
+            with pytest.raises(TypeError):
+                obj.labels[2] = "new"
+        assert g.labels == t.labels == {0: "a"}
 
 
 class TestSplitAt:
@@ -434,6 +442,36 @@ class TestSplitAt:
 
 def _relabel(t: Tree, perm: list[int]) -> Tree:
     return Tree(t.n, [(perm[a], perm[b]) for a, b in t.edges])
+
+
+class TestCenters:
+    """``_centers`` against its definition: the vertices of minimum eccentricity."""
+
+    @staticmethod
+    def assert_centers(t):
+        ecc = [max(d.values()) for d in _all_distances(t)[0]]
+        assert graphs._centers(t) == [v for v in t.vertices() if ecc[v] == min(ecc)]
+
+    def test_every_tree_up_to_order_10(self):
+        rng = random.Random(3)
+        for n in range(1, 11):
+            for t in trees_of_order(n):
+                self.assert_centers(t)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                self.assert_centers(_relabel(t, perm))
+
+    def test_paths_stars_caterpillars_up_to_200(self):
+        rng = random.Random(4)
+        cases = [caterpillar(k) for k in (1, 2, 3, 24, 25, 49, 50)]
+        for n in (*range(1, 13), 99, 100, 101, 199, 200):
+            cases.append(Tree(n, [(v, v + 1) for v in range(n - 1)]))
+            cases.append(Tree(n, [(0, v) for v in range(1, n)]))
+        for t in cases:
+            self.assert_centers(t)
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            self.assert_centers(_relabel(t, perm))
 
 
 class TestCanonicalForm:
