@@ -6,8 +6,13 @@ Exit codes: 0 for success or a positive decision, 1 for a negative decision,
 2 for any error.  Outputs are byte-identical for identical inputs and flags.
 
 The ``solve``, ``recognize``, ``generate`` and ``gadget`` commands emit
-certificates that ``verify`` re-checks without repeating the original search
-where a trace or step list makes that possible.
+certificates, each computing its result from its ``input`` payload.
+``verify`` has one rule: compute the result again from the certificate's
+input and compare it whole, as serialized.  Two results are replayed
+instead, without repeating the search: an accepting ``recognize`` trace
+(``verify_trace``, which binds each step's ``w`` in its emitted order) and a
+``generate`` step list (``replay`` from a seed, which binds the order ``n``
+but not the ``seed``: the steps are not drawn again).
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import functools
 import hashlib
 import json
 import sys
-from typing import Optional
 
 from . import __version__
 from .gadget import CnfFormula, build_gadget, verify_gadget
@@ -70,12 +74,6 @@ def _triple_json(tr: Triple) -> dict:
     }
 
 
-def _write_dot(path: Optional[str], graph) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(graph))
-
-
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -89,26 +87,10 @@ def _solve_result(inp: dict) -> tuple[dict, Tree]:
     return {"method": "oracle", **solve_report(t, x).to_json_dict()}, t
 
 
-def _cmd_solve(args) -> int:
-    inp = {"graph": _read(args.tree), "x": args.x, "method": args.method}
-    result, t = _solve_result(inp)
-    _write_dot(args.dot, t)
-    _emit(_certificate("solve", inp, result))
-    return 0
-
-
 def _recognize_result(inp: dict) -> tuple[dict, Tree]:
     t = parse_tree(inp["graph"])
     ok, trace = decide_in_S(triple_for_tree(t))
     return {"strongly_equal": ok, "trace": trace.to_json_dict()}, t
-
-
-def _cmd_recognize(args) -> int:
-    inp = {"graph": _read(args.tree)}
-    result, t = _recognize_result(inp)
-    _write_dot(args.dot, t)
-    _emit(_certificate("recognize", inp, result))
-    return 0 if result["strongly_equal"] else 1
 
 
 def _generate_result(base: Triple, steps: list[OpStep], triple: Triple) -> dict:
@@ -122,12 +104,10 @@ def _generate_result(base: Triple, steps: list[OpStep], triple: Triple) -> dict:
     }
 
 
-def _cmd_generate(args) -> int:
-    triple, steps = random_member(args.n, args.seed)
-    base = triple if args.n == 1 else base_triples()[0]
-    result = _generate_result(base, steps, triple)
-    _emit(_certificate("generate", {"n": args.n, "seed": args.seed}, result))
-    return 0
+def _grow(inp: dict) -> tuple[dict, None]:
+    triple, steps = random_member(inp["n"], inp["seed"])
+    base = triple if inp["n"] == 1 else base_triples()[0]
+    return _generate_result(base, steps, triple), None
 
 
 def _cmd_enumerate(args) -> int:
@@ -155,12 +135,25 @@ def _gadget_result(inp: dict) -> tuple[dict, Graph]:
     return result, gg.graph
 
 
-def _cmd_gadget(args) -> int:
-    inp = {"cnf": _read(args.cnf), "verify": bool(args.verify)}
-    result, graph = _gadget_result(inp)
-    _write_dot(args.dot, graph)
-    _emit(_certificate("gadget", inp, result))
-    return 0
+# Each certificate kind: its input payload from the parsed flags, and
+# ``result, graph = compute(input)`` (``graph`` is what ``--dot`` writes).
+_KINDS = {
+    "solve": (lambda args: {"graph": _read(args.tree), "x": args.x, "method": args.method}, _solve_result),
+    "recognize": (lambda args: {"graph": _read(args.tree)}, _recognize_result),
+    "generate": (lambda args: {"n": args.n, "seed": args.seed}, _grow),
+    "gadget": (lambda args: {"cnf": _read(args.cnf), "verify": bool(args.verify)}, _gadget_result),
+}
+
+
+def _cmd_certify(args) -> int:
+    input_of, compute = _KINDS[args.command]
+    inp = input_of(args)
+    result, graph = compute(inp)
+    if getattr(args, "dot", None):
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(to_dot(graph))
+    _emit(_certificate(args.command, inp, result))
+    return 1 if result.get("strongly_equal") is False else 0
 
 
 def _same(rebuilt: dict, result: dict) -> bool:
@@ -169,48 +162,34 @@ def _same(rebuilt: dict, result: dict) -> bool:
     return _dump(rebuilt) == _dump(result)
 
 
-def _recheck_recognize(cert: dict) -> bool:
-    """Replay a positive trace; rebuild a negative result and compare it whole,
-    since a rejection trace is not a derivation ``verify_trace`` can replay.
-    Either way the result must serialize exactly as the one rebuilt from it.
-    """
-    result = cert["result"]
-    if not result["strongly_equal"]:
-        return _same(_recognize_result(cert["input"])[0], result)
-    trace = ReductionTrace.from_json_dict(result["trace"])
-    if not _same({"strongly_equal": True, "trace": trace.to_json_dict()}, result):
-        return False
-    triple = triple_for_tree(parse_tree(cert["input"]["graph"]))
-    return verify_trace(triple, trace)
-
-
-def _recheck_generate(cert: dict) -> bool:
-    """Replay the step list from the base, which must be a seed, and
-    require order ``input.n``; as no step applies to the constrained seed,
-    that leaves it only order 1."""
-    result = cert["result"]
-    base = next((s for s in base_triples() if _same(_triple_json(s), result["base"])), None)
-    if base is None:
-        return False
-    steps = [OpStep.from_json_dict(s) for s in result["steps"]]
-    triple = replay(steps, base)
-    return _same(triple.n, cert["input"].get("n")) and _same(_generate_result(base, steps, triple), result)
-
-
-_RECHECKERS = {
-    "solve": lambda cert: _same(_solve_result(cert["input"])[0], cert["result"]),
-    "recognize": _recheck_recognize,
-    "generate": _recheck_generate,
-    "gadget": lambda cert: _same(_gadget_result(cert["input"])[0], cert["result"]),
-}
+def _reproduced(kind: str, inp: dict, result: dict) -> bool:
+    """Whether ``result`` is the one computed from ``inp``: it is computed
+    again and compared whole, except for the two results that replay
+    without repeating the work."""
+    if kind == "generate":
+        # Replay the step list from the base, which must be a seed, and
+        # require order ``input.n``; as no step applies to the constrained
+        # seed, that leaves it only order 1.
+        base = next((s for s in base_triples() if _same(_triple_json(s), result["base"])), None)
+        if base is None:
+            return False
+        steps = [OpStep.from_json_dict(s) for s in result["steps"]]
+        triple = replay(steps, base)
+        return _same(triple.n, inp.get("n")) and _same(_generate_result(base, steps, triple), result)
+    if kind == "recognize" and result["strongly_equal"]:
+        # replay the accepting trace, which must serialize as it was recorded
+        trace = ReductionTrace.from_json_dict(result["trace"])
+        if not _same({"strongly_equal": True, "trace": trace.to_json_dict()}, result):
+            return False
+        return verify_trace(triple_for_tree(parse_tree(inp["graph"])), trace)
+    return _same(_KINDS[kind][1](inp)[0], result)
 
 
 def _cmd_verify(args) -> int:
     with open(args.certificate, encoding="utf-8") as fh:
         cert = json.load(fh)
     kind = cert.get("kind")
-    rechecker = _RECHECKERS.get(kind)
-    if rechecker is None:
+    if kind not in _KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
     if cert.get("certificate_version") != CERTIFICATE_VERSION:
         _emit({"kind": kind, "verified": False, "detail": f"certificate_version is not {CERTIFICATE_VERSION}"})
@@ -219,7 +198,7 @@ def _cmd_verify(args) -> int:
         _emit({"kind": kind, "verified": False, "detail": "input digest mismatch"})
         return 1
     try:
-        ok = rechecker(cert)
+        ok = _reproduced(kind, cert["input"], cert["result"])
     except (AttributeError, KeyError, TypeError, ValueError):
         # a result that does not parse or rebuild (a missing key, a wrong
         # type, an inapplicable step) fails the check like any other mismatch
@@ -246,17 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="all", help="'all', 'none' or a comma list of vertices")
     p.add_argument("--method", choices=("oracle", "dp-rdf"), default="oracle")
     p.add_argument("--dot", default=None, help="also write the tree as DOT to this path")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("recognize", help="decide strong equality for a tree")
     p.add_argument("tree", help="edge-list file")
     p.add_argument("--dot", default=None, help="also write the tree as DOT to this path")
-    p.set_defaults(func=_cmd_recognize)
+    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("generate", help="grow a pseudo-random member triple")
     p.add_argument("--n", type=int, required=True, help="target order")
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("enumerate", help="all member triples up to an order")
     p.add_argument("--max", type=int, required=True)
@@ -266,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cnf", help="DIMACS CNF file")
     p.add_argument("--verify", action="store_true", help="also check the quantitative claims")
     p.add_argument("--dot", default=None, help="also write the graph as DOT to this path")
-    p.set_defaults(func=_cmd_gadget)
+    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("verify", help="re-check an emitted certificate")
     p.add_argument("certificate", help="certificate JSON file")

@@ -9,12 +9,11 @@ vertex-range check on vertex sets (``vertex_subset``).  A tree keeps the
 traversal from vertex 0 that certified it (``Tree.walk``), so passes rooted
 there do not walk it again.  The edge-list parser reads all edges in bulk and
 lets ``Graph`` check them; it walks the lines one by one only to name a bad one.
-``parse_tree`` checks the header's edge count before the parser runs.
+``parse_tree`` checks the header's edge count before any edge line is parsed.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from operator import ne
 from types import MappingProxyType
@@ -228,15 +227,10 @@ def _raise_first_bad_line(raw: list[str], n: int) -> None:
             raise SelfLoopError(f"line {lineno}: self-loop at vertex {a}")
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format.
-
-    The first meaningful line is ``n m``; the next ``m`` lines are ``a b``
-    edges with ``0 <= a, b < n`` and ``a != b``.  Blank lines and lines
-    starting with ``#`` are skipped.  The edges are read in bulk and checked
-    by ``Graph``; only when that fails are the lines walked again, to name
-    the first bad one.
-    """
+def _parse(text: str, tree: bool) -> Graph:
+    """The edge-list parser; for a ``tree``, a header ``n m`` with
+    ``m != n - 1`` fails before any edge line is parsed, so before anything
+    is allocated per vertex."""
     raw = text.splitlines()
     lines = [s for s in map(str.strip, raw) if s and s[0] != "#"]
     if not lines:
@@ -251,6 +245,8 @@ def parse_edge_list(text: str) -> Graph:
         raise MalformedLineError(f"line {_numbered(raw)[0][0]}: non-integer header {header!r}") from None
     if n < 1 or m < 0:
         raise MalformedLineError(f"line {_numbered(raw)[0][0]}: invalid sizes n={n}, m={m}")
+    if tree and m != n - 1:
+        raise NotATreeError(f"graph on {n} vertices with {m} edges is not a tree")
     if len(body) != m:
         raise MalformedLineError(f"expected {m} edge lines, found {len(body)}")
     try:
@@ -260,21 +256,22 @@ def parse_edge_list(text: str) -> Graph:
         raise
 
 
-_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")  # a line, as str.splitlines cuts
+def parse_edge_list(text: str) -> Graph:
+    """Parse the plain edge-list format.
+
+    The first meaningful line is ``n m``; the next ``m`` lines are ``a b``
+    edges with ``0 <= a, b < n`` and ``a != b``.  Blank lines and lines
+    starting with ``#`` are skipped.  The edges are read in bulk and checked
+    by ``Graph``; only when that fails are the lines walked again, to name
+    the first bad one.
+    """
+    return _parse(text, tree=False)
 
 
 def parse_tree(text: str) -> Tree:
     """``parse_edge_list`` for a tree; a header ``n m`` with ``m != n - 1``
-    fails before anything is allocated per vertex."""
-    lines = (line.group().split() for line in _LINE.finditer(text))
-    header = next((parts for parts in lines if parts and parts[0][0] != "#"), [])
-    try:
-        n, m = map(int, header)
-    except ValueError:
-        n, m = 1, 0  # no header of two integers: the parser names the fault
-    if n >= 1 and m >= 0 and m != n - 1:
-        raise NotATreeError(f"graph on {n} vertices with {m} edges is not a tree")
-    return Tree.from_graph(parse_edge_list(text))
+    fails before any edge line is parsed."""
+    return Tree.from_graph(_parse(text, tree=True))
 
 
 def format_edge_list(g: Graph) -> str:

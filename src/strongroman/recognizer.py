@@ -262,7 +262,7 @@ class _Chain:
 
     def __init__(self, tr: Triple):
         t = tr.tree
-        self.adj = [t.neighbors(a) for a in t.vertices()]
+        self.adj = t._adj
         self.alive = bytearray(b"\x01") * t.n
         self.x = bytearray(t.n)
         self.y = bytearray(t.n)
@@ -456,8 +456,9 @@ def verify_trace(tr: Triple, trace: ReductionTrace) -> bool:
 
     Accepts exactly the traces that chain valid reduction steps from ``tr``,
     in its own labels, down to a base case; each step's premise, ``ell``,
-    branch roots and case are checked again as it is replayed, in O(n) in
-    all.  Rejection traces are not derivations and never verify.
+    branch roots (in the order ``cut`` lists them) and case are checked
+    again as it is replayed, in O(n) in all.  Rejection traces are not
+    derivations and never verify.
     """
     if not trace.accepted:
         return False
@@ -470,7 +471,7 @@ def verify_trace(tr: Triple, trace: ReductionTrace) -> bool:
         if found is None:
             return False
         ws, ell, case, _ = found
-        if ell != step.ell or sorted(ws) != sorted(step.ws) or case != step.case:
+        if ell != step.ell or tuple(ws) != step.ws or case != step.case:
             return False
         if case == "a" and step.y_prime_has_u:
             return False

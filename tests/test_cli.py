@@ -276,7 +276,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "edit",
-        ["result key", "strongly_equal 1", "trace key", "step u string", "step u float", "step w float"],
+        ["result key", "strongly_equal 1", "trace key", "step u string", "step u float", "step w float", "step w permuted"],
     )
     def test_tampered_positive_recognize_fails(self, capsys, tmp_path, star_file, edit):
         # each edit still replays: only comparing the result whole catches it
@@ -295,6 +295,8 @@ class TestVerifyCommand:
             step["u"] = "2"
         elif edit == "step u float":
             step["u"] = 2.0
+        elif edit == "step w permuted":
+            step["w"] = [2, 1]
         else:
             step["w"] = [1.0, 2]
         p = tmp_path / "cert.json"
@@ -437,6 +439,49 @@ class TestVerifyCommand:
         p.write_text(json.dumps({"kind": "nonsense", "input": {}, "digest": ""}))
         code, (err,) = run_json(capsys, ["verify", str(p)])
         assert code == 2 and "error" in err
+
+
+# Each certificate command's exit code and the sha256 of its stdout; the
+# certificates hold the input text, not its path, so the digests do not
+# depend on where the files are.
+PINNED_STDOUT = {
+    "solve": (["solve", "star.txt"], 0, "7ee2507f6ea5d4238e8ef8f798ee0657b994dc241ecfbfdcace18864be6f7a78"),
+    "solve dp-rdf": (
+        ["solve", "star.txt", "--method", "dp-rdf"], 0, "08797d3031bd20e02125169357c435cf475d2ef5b1055fe749057081807f0756"
+    ),
+    "solve x": (["solve", "star.txt", "--x", "0,2"], 0, "711cfea2676dc48281690b36d31658936ca2c7f9582426afd9de734c7b791560"),
+    "recognize member": (["recognize", "star.txt"], 0, "3fe5ca923a3a40227c865f89aa2aeb1e762a499403071292eb41295578ea11f3"),
+    "recognize non-member": (["recognize", "p4.txt"], 1, "d60c85d45f320444ef68b5d9b362e1c6fc71b37c5c0ae1f15ee068e486591e7e"),
+    "generate 1 0": (
+        ["generate", "--n", "1", "--seed", "0"], 0, "e7e0c0e08819d84491bf922992852707ce707bb7a9cae9475919ea26c958c7d6"
+    ),
+    "generate 12 3": (
+        ["generate", "--n", "12", "--seed", "3"], 0, "4914301e3ab0a825197b92fbfc9de1643f7afe5c7b8b4f1a7c8a2c8029310241"
+    ),
+    "gadget verify": (["gadget", "f.cnf", "--verify"], 0, "6495a9dba432c492c0a1e1622eb808393e29928306490926d8ddb8e3be07cbc6"),
+}
+# sha256 of the stdout of a successful ``verify``, per certificate kind
+PINNED_VERIFY_STDOUT = {
+    "solve": "ad9fe5f87c878ccc2a46d60bad8a960e0c8676240821c871be6e268149105a42",
+    "recognize": "03ce378ed4772e5f359f918bf7e261aa7a878c225b1b043c68bdb23922d6cc1f",
+    "generate": "ba55998971aa29bfe3f9849855d551c3c3da06f043d4d9ff0c22c94384434bb5",
+    "gadget": "9043ca77212a79ed1803d906f2fe7d73965dd04fc0fa8108e8f2fe8c72dd65e7",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_STDOUT)
+def test_pinned_stdout(capsys, tmp_path, case):
+    files = {"star.txt": STAR, "p4.txt": "4 3\n0 1\n1 2\n2 3\n", "f.cnf": SAMPLE_CNF}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv, code, digest = PINNED_STDOUT[case]
+    assert run([str(tmp_path / a) if a in files else a for a in argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    assert run(["verify", str(cert)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_VERIFY_STDOUT[argv[0]]
 
 
 class TestParser:
