@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import ne
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 
 class ParseError(ValueError):
@@ -73,8 +73,7 @@ class Graph:
     Instances are immutable after construction and safe to share between
     concurrent tasks; ``labels`` is a read-only view of the constructor's
     copy.  Equality and hashing ignore labels.  Construction
-    sorts the edges once and validates them in one linear pass;
-    ``Tree.from_graph`` checks the tree property without rebuilding.
+    sorts the edges once and validates them in one linear pass.
     """
 
     __slots__ = ("n", "edges", "labels", "_adj")
@@ -166,18 +165,18 @@ def vertex_subset(g: Graph, s: Iterable[int], name: str) -> frozenset[int]:
     return out
 
 
+def _tree_walk(g: Graph) -> Optional[tuple[list[int], list[int]]]:
+    """``rooted(g._adj, 0)`` if it shows that ``g`` is a tree, else None."""
+    if len(g.edges) == g.n - 1:
+        walk = rooted(g._adj, 0)
+        if len(walk[1]) == g.n:
+            return walk
+    return None
+
+
 def is_tree(g: Graph) -> bool:
     """True iff ``g`` is connected and acyclic."""
-    return len(g.edges) == g.n - 1 and len(rooted(g._adj, 0)[1]) == g.n
-
-
-def _certified_walk(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``rooted(g._adj, 0)`` as tuples, once it shows that ``g`` is a tree."""
-    if len(g.edges) == g.n - 1:
-        parent, order = rooted(g._adj, 0)
-        if len(order) == g.n:
-            return tuple(parent), tuple(order)
-    raise NotATreeError(f"graph on {g.n} vertices with {len(g.edges)} edges is not a tree")
+    return _tree_walk(g) is not None
 
 
 class Tree(Graph):
@@ -191,17 +190,10 @@ class Tree(Graph):
 
     def __init__(self, n, edges=(), labels=None):
         super().__init__(n, edges, labels)
-        object.__setattr__(self, "walk", _certified_walk(self))
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "Tree":
-        """``g`` as a tree, sharing its validated immutable structure."""
-        walk = _certified_walk(g)
-        t = object.__new__(cls)
-        for name in ("n", "edges", "labels", "_adj"):
-            object.__setattr__(t, name, getattr(g, name))
-        object.__setattr__(t, "walk", walk)
-        return t
+        walk = _tree_walk(self)
+        if walk is None:
+            raise NotATreeError(f"graph on {n} vertices with {len(self.edges)} edges is not a tree")
+        object.__setattr__(self, "walk", tuple(map(tuple, walk)))
 
 
 def _numbered(raw: list[str]) -> list[tuple[int, str]]:
@@ -227,10 +219,13 @@ def _raise_first_bad_line(raw: list[str], n: int) -> None:
             raise SelfLoopError(f"line {lineno}: self-loop at vertex {a}")
 
 
-def _parse(text: str, tree: bool) -> Graph:
-    """The edge-list parser; for a ``tree``, a header ``n m`` with
-    ``m != n - 1`` fails before any edge line is parsed, so before anything
-    is allocated per vertex."""
+G = TypeVar("G", bound=Graph)
+
+
+def _parse(text: str, cls: type[G]) -> G:
+    """The edge-list parser, building ``cls`` (``Graph`` or ``Tree``); for a
+    ``Tree``, a header ``n m`` with ``m != n - 1`` fails before any edge line
+    is parsed, so before anything is allocated per vertex."""
     raw = text.splitlines()
     lines = [s for s in map(str.strip, raw) if s and s[0] != "#"]
     if not lines:
@@ -245,12 +240,15 @@ def _parse(text: str, tree: bool) -> Graph:
         raise MalformedLineError(f"line {_numbered(raw)[0][0]}: non-integer header {header!r}") from None
     if n < 1 or m < 0:
         raise MalformedLineError(f"line {_numbered(raw)[0][0]}: invalid sizes n={n}, m={m}")
-    if tree and m != n - 1:
+    if cls is Tree and m != n - 1:
         raise NotATreeError(f"graph on {n} vertices with {m} edges is not a tree")
     if len(body) != m:
         raise MalformedLineError(f"expected {m} edge lines, found {len(body)}")
     try:
-        return Graph(n, [(int(a), int(b)) for a, b in map(str.split, body)])
+        return cls(n, [(int(a), int(b)) for a, b in map(str.split, body)])
+    except NotATreeError:
+        # every edge line is sound, so no line can be named
+        raise
     except ValueError:
         _raise_first_bad_line(raw, n)
         raise
@@ -265,13 +263,13 @@ def parse_edge_list(text: str) -> Graph:
     by ``Graph``; only when that fails are the lines walked again, to name
     the first bad one.
     """
-    return _parse(text, tree=False)
+    return _parse(text, Graph)
 
 
 def parse_tree(text: str) -> Tree:
-    """``parse_edge_list`` for a tree; a header ``n m`` with ``m != n - 1``
-    fails before any edge line is parsed."""
-    return Tree.from_graph(_parse(text, tree=True))
+    """``parse_edge_list`` for a tree, built by ``Tree``; a header ``n m``
+    with ``m != n - 1`` fails before any edge line is parsed."""
+    return _parse(text, Tree)
 
 
 def format_edge_list(g: Graph) -> str:

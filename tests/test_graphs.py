@@ -176,9 +176,13 @@ class TestParseTree:
     def test_only_moves_not_a_tree_ahead(self):
         # the header check raises NotATreeError where the parser would have
         # named another fault first; anything else is the parser's outcome
+        def via_graph(text):
+            g = parse_edge_list(text)
+            return Tree(g.n, g.edges)
+
         texts = [*MALFORMED.values(), *WELL_FORMED.values(), *corrupted_tree_texts(7, 2000)]
         for text in texts:
-            got, ref = outcome(parse_tree, text), outcome(lambda s: Tree.from_graph(parse_edge_list(s)), text)
+            got, ref = outcome(parse_tree, text), outcome(via_graph, text)
             if got != ref:
                 assert got[0] is NotATreeError and issubclass(ref[0], ParseError), text
         assert outcome(parse_tree, MALFORMED["more edge lines than m"]) == (
@@ -198,6 +202,17 @@ class TestParseTree:
         for sep in seps:
             text = sep.join(["# c", "4 2", "0 1", "1 2"])
             assert outcome(parse_tree, text) == (NotATreeError, "graph on 4 vertices with 2 edges is not a tree")
+
+    def test_not_a_tree_is_not_rescanned(self, monkeypatch):
+        # m = n - 1, yet a triangle plus an isolated vertex: every line is
+        # sound, so the constructor's error stands and no line is rescanned
+        def refuse(raw, n):
+            raise AssertionError("edge lines rescanned")
+
+        monkeypatch.setattr(graphs, "_raise_first_bad_line", refuse)
+        got = outcome(parse_tree, "4 3\n0 1\n1 2\n2 0\n")
+        assert got == outcome(Tree, 4, [(0, 1), (1, 2), (2, 0)])
+        assert got == (NotATreeError, "graph on 4 vertices with 3 edges is not a tree")
 
 
 class TestTreeBasics:
@@ -237,7 +252,6 @@ class TestKeptWalk:
             rng.shuffle(edges)
             t = Tree(n, edges)
             self.assert_kept(t)
-            self.assert_kept(Tree.from_graph(Graph(n, edges)))
             self.assert_kept(triple_for_tree(t).canonicalized()[0].tree)
             # the generator builder's shape: empty slots for vertices not yet added read -1
             padded = [*map(list, t._adj), [], []]
@@ -350,19 +364,6 @@ class TestConstruction:
                 assert got == expected, (n, edges)
         assert valid >= 500
 
-    def test_from_graph_matches_constructor(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            n = rng.randint(1, 15)
-            edges = list(prufer_tree(n, rng).edges)
-            rng.shuffle(edges)
-            labels = {v: f"v{v}" for v in range(n) if rng.random() < 0.5} if rng.random() < 0.5 else None
-            t = Tree.from_graph(Graph(n, edges, labels))
-            ref = Tree(n, edges, labels)
-            assert type(t) is Tree and t == ref and t.labels == ref.labels
-            assert all(t.neighbors(v) == ref.neighbors(v) for v in range(n))
-            assert all(t.has_edge(a, b) == ref.has_edge(a, b) for a in range(n) for b in range(n))
-
     @pytest.mark.parametrize(
         "n, edges",
         [
@@ -373,10 +374,11 @@ class TestConstruction:
         ],
     )
     def test_from_graph_rejects_like_constructor(self, n, edges):
+        # the graph's edge list, parsed as a tree, fails as the constructor does
         with pytest.raises(NotATreeError) as ref:
             Tree(n, edges)
         with pytest.raises(NotATreeError) as got:
-            Tree.from_graph(Graph(n, edges))
+            parse_tree(format_edge_list(Graph(n, edges)))
         assert str(got.value) == str(ref.value)
 
     def test_first_bad_edge_in_bounded_memory(self):
@@ -388,7 +390,7 @@ class TestConstruction:
     def test_from_graph_labels_are_read_only(self):
         source = {0: "a"}
         g = Graph(3, [(0, 1), (1, 2)], labels=source)
-        t = Tree.from_graph(g)
+        t = Tree(3, [(0, 1), (1, 2)], labels=source)
         source[0] = "changed"
         for obj in (g, t):
             with pytest.raises(TypeError):

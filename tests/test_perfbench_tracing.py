@@ -10,7 +10,7 @@ import importlib
 import inspect
 from pathlib import Path
 
-from strongroman import generator
+from strongroman import cli, generator
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -52,3 +52,17 @@ def test_enumerate_counters_read_the_growth_path():
     metrics = ns["layer_metrics"](tracer.snapshot())
     assert 0 < metrics["generator.enumerate.new_ratio"] <= 1
     assert metrics["generator.applicable_steps.calls"] > 0
+
+
+def test_parsed_tree_is_charged_to_tree(tmp_path):
+    # parse_tree builds through Tree's constructor, so the tracer, which
+    # wraps Tree.__init__, charges the parsed tree's build to graphs.Tree
+    path = tmp_path / "p5.txt"
+    path.write_text("5 4\n0 1\n1 2\n2 3\n3 4\n")
+    tracer = tracing()["Tracer"]()
+    tracer.install()
+    try:
+        cli.run(["recognize", str(path)])
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["graphs.Tree"] >= 1
