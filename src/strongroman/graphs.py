@@ -2,20 +2,29 @@
 
 Vertices are always the integers ``0 .. n-1``.  Labels, when present, are
 cosmetic metadata and never participate in equality or canonical forms.
-This module owns the primitives the other modules share: the adjacency
-tuples, the one breadth-first traversal (``rooted(adj, root)``, over any
-sequence of neighbour lists; every rooted pass goes through it) and the
-vertex-range check on vertex sets (``vertex_subset``).  A tree keeps the
-traversal from vertex 0 that certified it (``Tree.walk``), so passes rooted
-there do not walk it again.  The edge-list parser reads all edges in bulk and
-lets ``Graph`` check them; it walks the lines one by one only to name a bad one.
-``parse_tree`` checks the header's edge count before any edge line is parsed.
+A graph is held flat, in CSR form (compressed sparse rows): two
+``array('i')``, ``_off`` with the n + 1 offsets and ``_nbr`` with the 2m
+neighbours, so that the neighbours of v are ``_nbr[_off[v]:_off[v + 1]]``,
+in increasing order.  No object is kept per vertex or per edge; ``edges``
+is derived from the arrays when first read.  This module owns the
+primitives the other modules share: the flat layout, the one breadth-first
+traversal (``rooted``, over the flat layout or over per-vertex neighbour
+lists; every rooted pass goes through it) and the vertex-range check on
+vertex sets (``vertex_subset``).  A tree keeps the traversal from vertex 0
+that certified it (``Tree.walk``), so passes rooted there do not walk it
+again.  The edge-list parser reads the edges of a large input straight
+into one flat array of endpoints (a small one as pairs) and lets ``Graph``
+check them; it walks the lines one by one only to name a bad one.
+``parse_tree`` checks the header's edge count before any edge line is
+parsed.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from operator import ne
+from itertools import accumulate, chain, islice, repeat
+from operator import eq, ne
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
@@ -44,7 +53,7 @@ class NotATreeError(ValueError):
     pass
 
 
-def _raise_first_bad_edge(n: int, edges: list) -> None:
+def _raise_first_bad_edge(n: int, edges: Iterable) -> None:
     """Check the edges one by one and raise for the first bad one in input order.
 
     An edge that passes must also have endpoints that can index the
@@ -67,16 +76,88 @@ def _raise_first_bad_edge(n: int, edges: list) -> None:
                 raise TypeError(f"list indices must be integers or slices, not {type(v).__name__}")
 
 
+def _from_ends(n: int, ends: array) -> tuple[array, array, None]:
+    """The offsets and sorted neighbours of the graph on ``0 .. n-1`` whose
+    edges are the endpoint pairs ``ends[0], ends[1]``, ``ends[2], ends[3]``
+    ..., once range, loops and repeats are checked in bulk; the first bad
+    edge in input order is named when one fails.  Besides the two arrays it
+    allocates a degree per vertex and a number per edge, both let go on
+    return.
+    """
+    it = iter(ends)
+    bad = bool(ends) and (min(ends) < 0 or max(ends) >= n) or any(map(eq, it, it))
+    if not bad:
+        # One number per edge, smaller endpoint first, sorted: a repeat sits
+        # next to its twin, and in this order every vertex meets its smaller
+        # neighbours (as the larger endpoint) before its larger ones, so the
+        # fill below leaves each vertex's neighbours sorted.
+        it = iter(ends)
+        keys = [a * n + b if a < b else b * n + a for a, b in zip(it, it)]
+        keys.sort()
+        bad = any(map(eq, keys, islice(keys, 1, None)))
+    if bad:
+        it = iter(ends)
+        _raise_first_bad_edge(n, zip(it, it))
+    degree = [0] * (n + 1)
+    for v in ends:
+        degree[v + 1] += 1
+    off = array("i", accumulate(degree))
+    del degree
+    free = off[:]  # the next free slot of each vertex
+    nbr = array("i", bytes(4 * len(ends)))
+    for k in keys:
+        a, b = divmod(k, n)
+        nbr[free[a]] = b
+        free[a] += 1
+        nbr[free[b]] = a
+        free[b] += 1
+    return off, nbr, None
+
+
+def _from_pairs(n: int, edges: Iterable) -> tuple[array, array, list[list[int]]]:
+    """``_from_ends`` for edge pairs, which also returns the neighbour list
+    of every vertex that they are sorted into on the way."""
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)  # read twice when one is bad
+    try:
+        norm = sorted([(a, b) if a < b else (b, a) for a, b in edges])
+        # sorted, so a duplicate sits next to its twin
+        valid = all([0 <= a < b < n for a, b in norm]) and all(map(ne, norm, norm[1:]))
+    except (TypeError, ValueError):
+        _raise_first_bad_edge(n, edges)
+        raise
+    if not valid:
+        _raise_first_bad_edge(n, edges)
+    # ``norm`` is sorted, so each vertex meets its smaller neighbours (as
+    # the second endpoint) before its larger ones: every list is sorted.
+    runs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in norm:
+        runs[a].append(b)
+        runs[b].append(a)
+    offsets, flat = [0], []
+    for run in runs:
+        flat += run
+        offsets.append(len(flat))
+    return array("i", offsets), array("i", flat), runs
+
+
 class Graph:
     """A finite simple undirected graph on vertices ``0 .. n-1``.
 
-    Instances are immutable after construction and safe to share between
-    concurrent tasks; ``labels`` is a read-only view of the constructor's
-    copy.  Equality and hashing ignore labels.  Construction
-    sorts the edges once and validates them in one linear pass.
+    Held as two flat integer arrays: ``_off`` (n + 1 offsets) and ``_nbr``
+    (the 2m neighbours, each vertex's run sorted), so a graph keeps 12 bytes
+    per vertex of a tree and no object per vertex or edge; ``edges`` is
+    derived from them when first read, and then kept.  Instances are
+    immutable after construction and safe to share between concurrent
+    tasks; ``labels`` is a read-only view of the constructor's copy.
+    Equality and hashing ignore labels.  The constructor's ``edges`` may be
+    pairs, or one flat ``array`` of endpoints ``a0 b0 a1 b1 ...`` (what the
+    parser reads, filled in with nothing per edge or vertex beyond the
+    arrays); either way range, loops and repeats are checked in bulk, and
+    the first bad edge in input order is named only when one fails.
     """
 
-    __slots__ = ("n", "edges", "labels", "_adj")
+    __slots__ = ("n", "labels", "_off", "_nbr", "_edges")
 
     def __init__(
         self,
@@ -84,72 +165,86 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         labels: Optional[Mapping[int, str]] = None,
     ):
+        self._fill(n, edges, labels)
+
+    def _fill(self, n: int, edges, labels) -> Optional[list[list[int]]]:
+        """Check and set every attribute; return the neighbour lists that
+        pairs are sorted into on the way (None for flat endpoints), which
+        ``Tree`` walks to certify itself."""
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        edges = list(edges)
-        try:
-            norm = sorted([(a, b) if a < b else (b, a) for a, b in edges])
-            # sorted, so a duplicate sits next to its twin
-            valid = all(0 <= a < b < n for a, b in norm) and all(map(ne, norm, norm[1:]))
-        except (TypeError, ValueError):
-            _raise_first_bad_edge(n, edges)
-            raise
-        if not valid:
-            _raise_first_bad_edge(n, edges)
-        # ``norm`` is sorted, so each vertex meets its smaller neighbours (as
-        # the second endpoint) before its larger ones: every list is sorted.
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in norm:
-            adj[a].append(b)
-            adj[b].append(a)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(norm))
+        off, nbr, runs = (_from_ends if isinstance(edges, array) else _from_pairs)(n, edges)
         if labels is not None:
             for v in labels:
                 if not (0 <= v < n):
                     raise VertexRangeError(f"label for unknown vertex {v}")
             labels = MappingProxyType(dict(labels))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "_off", off)
+        object.__setattr__(self, "_nbr", nbr)
+        object.__setattr__(self, "_edges", None)
+        return runs
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge ``(a, b)`` with ``a < b``, in increasing order, derived
+        from the arrays on first use and then kept."""
+        if self._edges is None:
+            off, nbr = self._off, self._nbr
+            edges = tuple([(a, b) for a in range(self.n) for b in nbr[off[a] : off[a + 1]] if a < b])
+            object.__setattr__(self, "_edges", edges)
+        return self._edges
 
     def vertices(self) -> range:
         return range(self.n)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(self._nbr[self._off[v] : self._off[v + 1]])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._off[v + 1] - self._off[v]
 
     def has_edge(self, a: int, b: int) -> bool:
         # an endpoint outside 0..n-1 is no vertex; a negative one must not wrap
-        return 0 <= a < self.n and b in self._adj[a]
+        return 0 <= a < self.n and b in self._nbr[self._off[a] : self._off[a + 1]]
 
     def label_of(self, v: int) -> Optional[str]:
         return None if self.labels is None else self.labels.get(v)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        # sorted runs: the same n and edge set are the same two arrays
+        return isinstance(other, Graph) and self._off == other._off and self._nbr == other._nbr
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._nbr.tobytes()))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self.n}, m={len(self.edges)})"
+        return f"{type(self).__name__}(n={self.n}, m={len(self._nbr) // 2})"
 
 
-def rooted(adj: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
-    """Parent of every vertex reached from ``root`` over the neighbour lists
-    ``adj`` (the root is its own, any other entry -1, so the list is as long
-    as ``adj``) and the reached vertices in breadth-first order."""
-    parent = [-1] * len(adj)
+def rooted(
+    nbr: Sequence, root: int, off: Optional[Sequence[int]] = None
+) -> tuple[list[int], list[int]]:
+    """Parent of every vertex reached from ``root`` (the root is its own,
+    any other entry -1) and the reached vertices in breadth-first order.
+    The neighbours of v are ``nbr[v]`` or, given the offsets ``off`` of the
+    flat layout, ``nbr[off[v]:off[v + 1]]``; the parent list has an entry
+    per list or per offset but the last."""
+    parent = [-1] * (len(nbr) if off is None else len(off) - 1)
     order = [root]
     parent[root] = root
     for v in order:
-        for u in adj[v]:
+        if off is None:
+            run = nbr[v]
+        elif (end := off[v + 1]) - (start := off[v]) > 1 or v == root:
+            run = nbr[start:end]
+        else:
+            continue  # a leaf reached from its one neighbour
+        for u in run:
             if parent[u] == -1:
                 parent[u] = v
                 order.append(u)
@@ -165,10 +260,12 @@ def vertex_subset(g: Graph, s: Iterable[int], name: str) -> frozenset[int]:
     return out
 
 
-def _tree_walk(g: Graph) -> Optional[tuple[list[int], list[int]]]:
-    """``rooted(g._adj, 0)`` if it shows that ``g`` is a tree, else None."""
-    if len(g.edges) == g.n - 1:
-        walk = rooted(g._adj, 0)
+def _tree_walk(g: Graph, runs: Optional[list] = None) -> Optional[tuple[list[int], list[int]]]:
+    """The walk from vertex 0, over ``runs`` when given (``g``'s neighbour
+    lists) and else over ``g``'s arrays, if it shows that ``g`` is a tree,
+    else None."""
+    if len(g._nbr) == 2 * (g.n - 1):
+        walk = rooted(g._nbr, 0, g._off) if runs is None else rooted(runs, 0)
         if len(walk[1]) == g.n:
             return walk
     return None
@@ -182,18 +279,19 @@ def is_tree(g: Graph) -> bool:
 class Tree(Graph):
     """A graph certified connected and acyclic at construction time.
 
-    ``walk`` keeps the certifying traversal, ``rooted(t._adj, 0)`` as a
-    pair of tuples, for the passes that root the tree at vertex 0.
+    ``walk`` keeps the certifying traversal, ``rooted(t._nbr, 0, t._off)``,
+    as a pair of tuples (parents, then the breadth-first order), for the
+    passes that root the tree at vertex 0.  With the graph's arrays a tree
+    keeps about 60 bytes per vertex, most of them the walk's.
     """
 
     __slots__ = ("walk",)
 
     def __init__(self, n, edges=(), labels=None):
-        super().__init__(n, edges, labels)
-        walk = _tree_walk(self)
+        walk = _tree_walk(self, self._fill(n, edges, labels))
         if walk is None:
-            raise NotATreeError(f"graph on {n} vertices with {len(self.edges)} edges is not a tree")
-        object.__setattr__(self, "walk", tuple(map(tuple, walk)))
+            raise NotATreeError(f"graph on {n} vertices with {len(self._nbr) // 2} edges is not a tree")
+        object.__setattr__(self, "walk", (tuple(walk[0]), tuple(walk[1])))
 
 
 def _numbered(raw: list[str]) -> list[tuple[int, str]]:
@@ -221,36 +319,60 @@ def _raise_first_bad_line(raw: list[str], n: int) -> None:
 
 G = TypeVar("G", bound=Graph)
 
+# The parser reads a graph of up to this order as pairs, which is faster
+# there and takes a few hundred bytes per vertex, under 3 MB in all; a larger
+# one goes into one flat array of endpoints, nothing per edge or vertex.
+_FLAT_ABOVE = 1 << 13
+
 
 def _parse(text: str, cls: type[G]) -> G:
     """The edge-list parser, building ``cls`` (``Graph`` or ``Tree``); for a
     ``Tree``, a header ``n m`` with ``m != n - 1`` fails before any edge line
-    is parsed, so before anything is allocated per vertex."""
-    raw = text.splitlines()
-    lines = [s for s in map(str.strip, raw) if s and s[0] != "#"]
+    is parsed, so before anything is allocated per vertex.  Past
+    ``_FLAT_ABOVE`` vertices the edge lines go straight into one flat array
+    of endpoints, and are let go before the graph is built."""
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     if not lines:
         raise MalformedLineError("empty input, expected a header line 'n m'")
-    header, body = lines[0], lines[1:]
+    header = lines[0]
+
+    def at_header(fault: str) -> MalformedLineError:
+        return MalformedLineError(f"line {_numbered(text.splitlines())[0][0]}: {fault}")
+
     parts = header.split()
     if len(parts) != 2:
-        raise MalformedLineError(f"line {_numbered(raw)[0][0]}: expected header 'n m', got {header!r}")
+        raise at_header(f"expected header 'n m', got {header!r}")
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise MalformedLineError(f"line {_numbered(raw)[0][0]}: non-integer header {header!r}") from None
+        raise at_header(f"non-integer header {header!r}") from None
     if n < 1 or m < 0:
-        raise MalformedLineError(f"line {_numbered(raw)[0][0]}: invalid sizes n={n}, m={m}")
+        raise at_header(f"invalid sizes n={n}, m={m}")
     if cls is Tree and m != n - 1:
         raise NotATreeError(f"graph on {n} vertices with {m} edges is not a tree")
-    if len(body) != m:
-        raise MalformedLineError(f"expected {m} edge lines, found {len(body)}")
+    if len(lines) - 1 != m:
+        raise MalformedLineError(f"expected {m} edge lines, found {len(lines) - 1}")
+    body = islice(lines, 1, None)
     try:
-        return cls(n, [(int(a), int(b)) for a, b in map(str.split, body)])
+        if n <= _FLAT_ABOVE:
+            return cls(n, [(int(a), int(b)) for a, b in map(str.split, body)])
+        # Each line as its first token and the rest: the rest of a line of
+        # three or more tokens holds a space, which ``int`` refuses, and a
+        # line of one token leaves the array short.  Read in chunks, so
+        # only a few thousand endpoints are ever Python ints at once.
+        tokens = map(int, chain.from_iterable(map(str.split, body, repeat(None), repeat(1))))
+        ends = array("i")
+        while chunk := list(islice(tokens, 4096)):
+            ends.fromlist(chunk)
+        del lines, body
+        if len(ends) != 2 * m:
+            raise ValueError  # a line of one token, which the rescan names
+        return cls(n, ends)
     except NotATreeError:
         # every edge line is sound, so no line can be named
         raise
-    except ValueError:
-        _raise_first_bad_line(raw, n)
+    except (ValueError, OverflowError):
+        _raise_first_bad_line(text.splitlines(), n)
         raise
 
 
@@ -273,8 +395,9 @@ def parse_tree(text: str) -> Tree:
 
 
 def format_edge_list(g: Graph) -> str:
-    out = [f"{g.n} {len(g.edges)}"]
-    out.extend(f"{a} {b}" for a, b in g.edges)
+    edges = g.edges
+    out = [f"{g.n} {len(edges)}"]
+    out.extend(f"{a} {b}" for a, b in edges)
     return "\n".join(out) + "\n"
 
 
@@ -345,58 +468,82 @@ def split_at(t: Tree, v: int, u: int) -> Split:
     return Split(t_prime=t_prime, to_prime=to_prime, branches=branches)
 
 
-def _centers(t: Tree) -> list[int]:
-    """The one or two middle vertices of the tree, sorted: a farthest vertex
-    from any start ends a longest path, so a double sweep finds one, and its
-    middle is the centre."""
+def _diameter(t: Tree) -> tuple[list[int], list[int]]:
+    """A longest path and the breadth-first order that finds it: a farthest
+    vertex from any start ends a longest path, so the end of the certifying
+    walk from 0 is one, and the walk from there ends at the other.  The path
+    runs from that far end back to the walk's root."""
     end = t.walk[1][-1]
-    parent, order = rooted(t._adj, end)
+    parent, order = rooted(t._nbr, end, t._off)
     path = [order[-1]]
     while path[-1] != end:
         path.append(parent[path[-1]])
-    return sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1])
-
-
-def _rooted_encoding(t: Tree, colors: Mapping[int, int], root: int) -> tuple[list[str], list[int]]:
-    """Bottom-up subtree encodings (equal strings iff color-isomorphic
-    subtrees) and the parent list of ``t`` rooted at ``root``."""
-    parent, order = rooted(t._adj, root)
-    enc = [""] * t.n
-    for v in reversed(order):
-        kids = sorted(enc[u] for u in t.neighbors(v) if u != parent[v])
-        enc[v] = "(" + str(colors[v]) + "".join(kids) + ")"
-    return enc, parent
+    return path, order
 
 
 def _canonical_rooting(
     t: Tree, colors: Optional[Mapping[int, int]] = None
-) -> tuple[str, tuple[int, list[str], list[int]]]:
+) -> tuple[str, tuple[int, list[str]]]:
     """The canonical form of a colored tree and the rooting that gives it:
-    the best center, the subtree encodings and the parent list there, which
-    ``_canonical_mapping`` turns into the relabelling."""
+    the best center and the subtree encodings there (equal strings iff
+    color-isomorphic subtrees), which ``_canonical_mapping`` turns into the
+    relabelling.
+
+    One walk serves every center.  It is rooted at the end of a longest
+    path, and a center c on that path is reached by turning around the path
+    from the walk's root to c.  A vertex's encoding joins its color and its
+    children's encodings, sorted; a neighbour not yet encoded reads "" and
+    adds nothing, so each vertex can join all its neighbours: off the turned
+    path in reverse walk order (the parent comes later), then along the
+    path from the walk's root to c (the next path vertex comes later).
+    """
     if colors is None:
-        colors = {v: 0 for v in t.vertices()}
+        color = ["0"] * t.n
     else:
-        for v in t.vertices():
-            if v not in colors:
-                raise ValueError(f"color missing for vertex {v}")
-    best: Optional[tuple[str, int, list[str], list[int]]] = None
-    for c in _centers(t):
-        enc, parent = _rooted_encoding(t, colors, c)
-        if best is None or enc[c] < best[0]:
-            best = (enc[c], c, enc, parent)
-    key, root, enc, parent = best
-    return key, (root, enc, parent)
+        if not all(map(colors.__contains__, t.vertices())):
+            raise ValueError(f"color missing for vertex {next(v for v in t.vertices() if v not in colors)}")
+        color = list(map(str, map(colors.__getitem__, t.vertices())))
+    off, nbr = t._off, t._nbr
+    path, order = _diameter(t)
+    half = len(path) // 2
+    c = path[half]  # the center nearer the walk's root
+    turned = path[half:]
+    enc = [""] * t.n
+    get = enc.__getitem__
+    on_turned = set(turned)
+    for v in reversed(order):
+        if v not in on_turned:
+            a, b = off[v], off[v + 1]
+            # a leaf's one neighbour is its parent
+            enc[v] = "(" + color[v] + ("".join(sorted(map(get, nbr[a:b]))) if b - a > 1 else "") + ")"
+    for v in reversed(turned):
+        enc[v] = "(" + color[v] + "".join(sorted(map(get, nbr[off[v] : off[v + 1]]))) + ")"
+    root, key = c, enc[c]
+    if len(path) % 2 == 0:
+        # the other center d: rooted there, c loses its child d and d gains
+        # c; every other encoding stays, and a tie keeps the smaller label
+        d = path[half - 1]
+        enc[c] = "(" + color[c] + "".join(sorted([enc[u] for u in nbr[off[c] : off[c + 1]] if u != d])) + ")"
+        at_d = "(" + color[d] + "".join(sorted(map(get, nbr[off[d] : off[d + 1]]))) + ")"
+        if (at_d, d) < (key, c):
+            root, key, enc[d] = d, at_d, at_d
+        else:
+            enc[c] = key
+    return key, (root, enc)
 
 
-def _canonical_mapping(t: Tree, root: int, enc: list[str], parent: list[int]) -> dict[int, int]:
+def _canonical_mapping(t: Tree, root: int, enc: list[str]) -> dict[int, int]:
     """Preorder numbering from the best root, children by encoding."""
+    off, nbr = t._off, t._nbr
     mapping: dict[int, int] = {}
     todo = [root]
     while todo:
         v = todo.pop()
         mapping[v] = len(mapping)
-        kids = sorted((u for u in t.neighbors(v) if u != parent[v]), key=lambda u: (enc[u], u))
+        # the parent is the one neighbour already numbered; neighbours come
+        # in increasing order and the sort is stable, so equal encodings
+        # stay ordered by vertex
+        kids = sorted([u for u in nbr[off[v] : off[v + 1]] if u not in mapping], key=enc.__getitem__)
         todo.extend(reversed(kids))
     return mapping
 
@@ -435,10 +582,10 @@ def longest_x_path(t: Tree, x: Iterable[int]) -> list[int]:
             raise ValueError(f"vertex {a} out of range")
     if len(xs) < 2:
         raise ValueError("need at least two marked vertices")
-    adj = t._adj
+    off, nbr = t._off, t._nbr
 
     def sweep(source: int) -> tuple[list[int], list[int], list[int]]:
-        parent, order = rooted(adj, source)
+        parent, order = rooted(nbr, source, off)
         depth = [0] * t.n
         for v in order[1:]:
             depth[v] = depth[parent[v]] + 1
@@ -466,5 +613,5 @@ def longest_x_path(t: Tree, x: Iterable[int]) -> list[int]:
     path = [start]
     while len(path) <= length:
         v = path[-1]
-        path.append(next(u for u in adj[v] if parent[u] == v and reaches[u]))
+        path.append(next(u for u in nbr[off[v] : off[v + 1]] if parent[u] == v and reaches[u]))
     return path

@@ -96,8 +96,9 @@ class Triple:
         """The copy under ``mapping``, a relabelling that realizes the
         canonical form ``key`` (both as ``canonical_relabel`` returns them).
         """
+        # the tree's edges are the parent links of its walk
         out = Triple(
-            Tree(self.n, [(mapping[a], mapping[b]) for a, b in self.tree.edges]),
+            Tree(self.n, [(mapping[p], mapping[v]) for v, p in enumerate(self.tree.walk[0]) if p != v]),
             frozenset(mapping[v] for v in self.x),
             frozenset(mapping[v] for v in self.y),
         )
@@ -262,7 +263,7 @@ class _Chain:
 
     def __init__(self, tr: Triple):
         t = tr.tree
-        self.adj = t._adj
+        self.off, self.nbr = t._off, t._nbr
         self.alive = bytearray(b"\x01") * t.n
         self.x = bytearray(t.n)
         self.y = bytearray(t.n)
@@ -291,21 +292,25 @@ class _Chain:
         an X-vertex below its root.  Y bits are read in the order
         ``_classify`` tests them.
         """
-        alive, adj, x = self.alive, self.adj, self.x
+        alive, off, nbr, x = self.alive, self.off, self.nbr, self.x
         alive[v] = 0
-        roots = [w for w in adj[v] if alive[w] and w != u]
+        roots = [w for w in nbr[off[v] : off[v + 1]] if alive[w] and w != u]
         ws = [w for w in roots if x[w]]
         ell = len(ws)
         ws += [w for w in roots if not x[w]]
-        uv_in_y = self.read_y(u, 1) and self.read_y(v, 1)
+        # a bit already 1 reads as wanted without the call
+        y, read_y = self.y, self.read_y
+        uv_in_y = (y[u] == 1 or read_y(u, 1)) and (y[v] == 1 or read_y(v, 1))
         branches = []
         for w in ws:
             alive[w] = 0
-            w_in_y = self.read_y(w, 1)
+            w_in_y = y[w] == 1 or read_y(w, 1)
             below = 0
             todo = [w]
             for a in todo:
-                for b in adj[a]:
+                if (end := off[a + 1]) - (start := off[a]) == 1:
+                    continue  # a leaf: its one neighbour is deleted
+                for b in nbr[start:end]:
                     if alive[b]:
                         if x[b]:
                             return None
@@ -362,6 +367,7 @@ def configurations(tr: Triple) -> list[tuple[int, int]]:
     minus the count on the other side of the edge.
     """
     t, x, y = tr.tree, tr.x, tr.y
+    off, nbr = t._off, t._nbr
     parent, order = t.walk
     below = [0] * t.n  # Y-vertices in the subtree of each vertex
     for w in reversed(order):
@@ -373,12 +379,13 @@ def configurations(tr: Triple) -> list[tuple[int, int]]:
         if v not in y:
             continue
         up = len(y) - below[v]  # Y-vertices outside the subtree of v
+        around = nbr[off[v] : off[v + 1]]
         # neighbors that cannot root a branch; one of them can only be u
-        bad = [w for w in t.neighbors(v) if w not in y or (below[w] if parent[w] == v else up) != 1]
+        bad = [w for w in around if w not in y or (below[w] if parent[w] == v else up) != 1]
         if len(bad) > 1:
             continue
-        x_neighbors = sum(w in x for w in t.neighbors(v))
-        for u in bad or t.neighbors(v):
+        x_neighbors = sum(w in x for w in around)
+        for u in bad or around:
             ell = x_neighbors - (u in x)
             if u in y and (ell >= 3 or (ell == 2 and u in x)):
                 out.append((v, u))
@@ -408,20 +415,23 @@ def _decide(tr: Triple) -> tuple[bool, ReductionTrace]:
     docstring); a case-"b" step leaves u's Y bit open until its first read.
     """
     chain = _Chain(tr)
-    alive, x, adj = chain.alive, chain.x, chain.adj
+    alive, x, off, nbr = chain.alive, chain.x, chain.off, chain.nbr
     steps: list[tuple[int, int, list[int], int, str]] = []
     if chain.x_count > 2:
         # A breadth-first order lists vertices by depth, so its last X-vertex
-        # is a farthest one, and its last live X-vertex a deepest one.
-        _, order = rooted(adj, min(tr.x))
-        parent, order = rooted(adj, next(a for a in reversed(order) if x[a]))
+        # is a farthest one, and its last live X-vertex a deepest one.  From
+        # vertex 0, the smallest X-vertex whenever X = V, the tree's
+        # certifying walk is that order.
+        start = min(tr.x)
+        order = tr.tree.walk[1] if start == 0 else rooted(nbr, start, off)[1]
+        parent, order = rooted(nbr, next(a for a in reversed(order) if x[a]), off)
         todo = [a for a in order if x[a]]
     while chain.x_count > 2:
         while not (alive[todo[-1]] and x[todo[-1]]):
             todo.pop()
         w = todo[-1]
         v = parent[w]
-        kids = [c for c in adj[v] if alive[c] and c != parent[v]]
+        kids = [c for c in nbr[off[v] : off[v + 1]] if alive[c] and c != parent[v]]
         if x[v] + sum(x[c] for c in kids) == chain.x_count:
             # no X-vertex outside v's subtree: the longest X-path is w-v-u
             u = min(c for c in kids if x[c] and c != w)

@@ -81,7 +81,7 @@ def _all_roots(t: Tree, xset: frozenset[int]) -> tuple[int, list[int]]:
     state over its other branches; sums leave one branch out by subtraction
     and the penalty minimum by keeping the two smallest.
     """
-    parent, order = rooted(t._adj, 0)
+    parent, order = rooted(t._nbr, 0, t._off)
     down = _down_terms(t, xset, parent, order)
     up = [None] * t.n  # terms of the branch at parent(v), as seen from v
     forced = [0] * t.n

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,23 @@ MALFORMED = {
     "tabs, comments and blanks": "# tree\n\n3\t2\n\t0 1\n\n  # edge two\n1\t 3\n",
 }
 
+# Past this order the parser reads the edges into one flat array instead of
+# pairs; the same faults, late in such a path.
+BIG = graphs._FLAT_ABOVE + 7
+MALFORMED.update(
+    {
+        "big: three tokens": _path_text(BIG, {BIG - 9: f"{BIG - 10} {BIG - 9} 7"}),
+        "big: one token": _path_text(BIG, {BIG - 9: f"{BIG - 10}"}),
+        "big: non-integer token": _path_text(BIG, {BIG - 9: f"{BIG - 10} x"}),
+        "big: out of range": _path_text(BIG, {BIG - 3: f"{BIG - 4} {BIG}"}),
+        "big: past 32 bits": _path_text(BIG, {BIG - 3: f"{BIG - 4} {1 << 40}"}),
+        "big: negative endpoint": _path_text(BIG, {BIG - 3: f"-1 {BIG - 3}"}),
+        "big: self-loop": _path_text(BIG, {BIG - 2: f"{BIG - 3} {BIG - 3}"}),
+        "big: duplicate": _path_text(BIG, {BIG - 1: "3 2"}),
+        "big: one token before a duplicate": _path_text(BIG, {5: "3 2", BIG - 1: "7"}),
+    }
+)
+
 # Inputs both parsers accept.
 WELL_FORMED = {
     "single vertex": "1 0",
@@ -131,6 +149,8 @@ WELL_FORMED = {
     "crlf": "3 2\r\n0 1\r\n2 1\r\n",
     "not a tree": "4 2\n0 1\n2 3\n",
     "long path": _path_text(500),
+    "big path": _path_text(BIG),
+    "big forest": f"{BIG} {BIG - 3}\n" + "".join(f"{i} {i + 1}\n" for i in range(3, BIG - 1)) + "0 1\n",
 }
 
 
@@ -242,7 +262,7 @@ class TestKeptWalk:
     def assert_kept(t):
         parent, order = t.walk
         assert type(parent) is tuple and type(order) is tuple
-        assert (list(parent), list(order)) == rooted(t._adj, 0)
+        assert (list(parent), list(order)) == rooted(t._nbr, 0, t._off)
 
     def test_every_way_to_build_a_tree(self):
         rng = random.Random(17)
@@ -254,7 +274,7 @@ class TestKeptWalk:
             self.assert_kept(t)
             self.assert_kept(triple_for_tree(t).canonicalized()[0].tree)
             # the generator builder's shape: empty slots for vertices not yet added read -1
-            padded = [*map(list, t._adj), [], []]
+            padded = [*map(list, map(t.neighbors, t.vertices())), [], []]
             assert rooted(padded, 0) == ([*t.walk[0], -1, -1], list(t.walk[1]))
             if n > 1:
                 v, u = edges[0]
@@ -340,6 +360,24 @@ except Exception as exc:
 """
 
 
+# Bytes per vertex that parsing a relabelled path keeps and peaks at, by
+# tracemalloc, in a fresh interpreter.
+_PARSE_MEMORY_CHILD = """
+import json, random, sys, tracemalloc
+from strongroman.graphs import parse_tree
+n = int(sys.argv[1])
+perm = list(range(n))
+random.Random(0).shuffle(perm)
+text = f"{n} {n - 1}\\n" + "".join(f"{perm[i]} {perm[i + 1]}\\n" for i in range(n - 1))
+tracemalloc.start()
+t = parse_tree(text)
+kept, peak = tracemalloc.get_traced_memory()
+tracemalloc.stop()
+assert t.n == n
+print(json.dumps([kept / n, peak / n]))
+"""
+
+
 class TestConstruction:
     def test_bulk_validation_matches_per_edge_loop(self):
         rng = random.Random(2024)
@@ -364,6 +402,28 @@ class TestConstruction:
                 assert got == expected, (n, edges)
         assert valid >= 500
 
+    def test_flat_endpoints_match_pairs(self):
+        # the parser's form: one array of endpoints builds what the pairs
+        # build, or fails with the same error for the same first bad edge
+        rng = random.Random(2025)
+        built = 0
+        for _ in range(3000):
+            n, edges, labels = random_edge_list(rng)
+            if not all(type(v) is int for e in edges for v in e):
+                continue
+            flat = array("i", [v for e in edges for v in e])
+            for cls in (Graph, Tree):
+                got, ref = outcome(cls, n, flat, labels), outcome(cls, n, edges, labels)
+                if isinstance(ref, Graph):
+                    built += 1
+                    assert type(got) is cls and got == ref and got.labels == ref.labels
+                    assert all(got.neighbors(v) == ref.neighbors(v) for v in range(n))
+                    if cls is Tree:
+                        assert got.walk == ref.walk
+                else:
+                    assert got == ref, (cls, n, edges)
+        assert built >= 600
+
     @pytest.mark.parametrize(
         "n, edges",
         [
@@ -386,6 +446,13 @@ class TestConstruction:
         # bad edge allocates nothing per vertex, in a child capped at 1 GiB
         # of address space
         assert run_child(_BAD_EDGE_CHILD) == ["SelfLoopError", "line 2: self-loop at vertex 0"]
+
+    def test_parse_memory_per_vertex(self):
+        # the flat layout: parsing a relabelled P_20000 keeps at most 64 bytes
+        # and peaks at no more than 160 per vertex (tuples and lists per edge
+        # and per vertex took 201 and 445)
+        kept, peak = run_child(_PARSE_MEMORY_CHILD, 20_000)
+        assert kept <= 64 and peak <= 160, (kept, peak)
 
     def test_from_graph_labels_are_read_only(self):
         source = {0: "a"}
@@ -447,12 +514,15 @@ def _relabel(t: Tree, perm: list[int]) -> Tree:
 
 
 class TestCenters:
-    """``_centers`` against its definition: the vertices of minimum eccentricity."""
+    """The middle of ``_diameter``'s path against the definition of the
+    centers: the vertices of minimum eccentricity."""
 
     @staticmethod
     def assert_centers(t):
         ecc = [max(d.values()) for d in _all_distances(t)[0]]
-        assert graphs._centers(t) == [v for v in t.vertices() if ecc[v] == min(ecc)]
+        path = graphs._diameter(t)[0]
+        assert len(path) - 1 == max(ecc)
+        assert sorted(path[(len(path) - 1) // 2 : len(path) // 2 + 1]) == [v for v in t.vertices() if ecc[v] == min(ecc)]
 
     def test_every_tree_up_to_order_10(self):
         rng = random.Random(3)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from strongroman.graphs import Tree, format_edge_list
+from strongroman.graphs import Tree, format_edge_list, rooted
 from strongroman.recognizer import (
     BASE_K1_FULL,
     BASE_X_EMPTY,
@@ -216,6 +216,27 @@ class TestDecide:
                         checked += 1
         assert checked > 0
 
+    def test_headline_query_walks_once(self, monkeypatch):
+        # with min(X) = 0, as for X = V, the first sweep is the tree's
+        # certifying walk from vertex 0, so only the second one walks again
+        import strongroman.recognizer as recognizer
+
+        roots = []
+
+        def counting(nbr, root, off=None):
+            roots.append(root)
+            return rooted(nbr, root, off)
+
+        monkeypatch.setattr(recognizer, "rooted", counting)
+        p50 = Tree(50, [(i, i + 1) for i in range(49)])
+        ok, trace = decide_in_S(triple_for_tree(p50))
+        assert not ok and trace.failure == "a single branch meets X (need at least two)"
+        assert roots == [49]
+        roots.clear()
+        # without vertex 0 in X both sweeps walk
+        assert not decide_in_S(Triple(p50, frozenset(range(1, 50)), frozenset(range(50))))[0]
+        assert roots == [1, 49]
+
     def test_matches_oracle_small(self):
         # the broader sweeps live in the acceptance suite
         for n in range(1, 7):
@@ -419,6 +440,33 @@ for i, tree in enumerate(sys.argv[2:]):
 print(json.dumps({"results": results, "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
+# Run in a child process: cap its address space at 160 MiB, then, on each
+# tree file, recognize and verify, and solve with the tree DP and verify,
+# through the CLI; report the exit codes, the verdicts of verify, each
+# dp-rdf value and the peak virtual size (VmPeak, KiB).
+_TIGHT_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (160 << 20, 160 << 20))
+import contextlib, io, json, sys
+from strongroman import cli
+results = []
+for i, tree in enumerate(sys.argv[2:]):
+    for command in (["recognize", tree], ["solve", tree, "--method", "dp-rdf"]):
+        cert = f"{sys.argv[1]}/cert{i}{command[0]}.json"
+        with open(cert, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            results.append(cli.run(command))
+        if command[0] == "solve":
+            with open(cert, encoding="utf-8") as fh:
+                results.append(json.load(fh)["result"]["gamma_R"])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            results.append(cli.run(["verify", cert]))
+        results.append(json.loads(out.getvalue())["verified"])
+with open("/proc/self/status", encoding="utf-8") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmPeak:"))
+print(json.dumps({"results": results, "vmpeak_kib": peak}))
+"""
+
 # Exit code and error type of each command on one input, in a child capped
 # at 1 GiB of address space.
 _ERROR_CHILD = """
@@ -472,6 +520,24 @@ class TestScale:
         report = run_child(_BOUNDED_CHILD, tmp_path, *files)
         assert report["results"] == [1, 0, True, 0, 0, True]
         assert report["maxrss_kib"] < 256 * 1024
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmPeak from /proc")
+    def test_cli_at_three_hundred_thousand_in_160_mib(self, tmp_path):
+        # a relabelled P_300000 and a random tree of that order (each vertex
+        # hangs from an earlier one): both commands and their verify in a
+        # child capped at 160 MiB of address space
+        n = 300_000
+        rng = random.Random(19)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        files = [tmp_path / "path.txt", tmp_path / "random.txt"]
+        files[0].write_text(f"{n} {n - 1}\n" + "".join(f"{perm[i]} {perm[i + 1]}\n" for i in range(n - 1)))
+        files[1].write_text(f"{n} {n - 1}\n" + "".join(f"{rng.randrange(i)} {i}\n" for i in range(1, n)))
+        report = run_child(_TIGHT_CHILD, tmp_path, *files)
+        path, tree = report["results"][:7], report["results"][7:]
+        assert path == [1, 0, True, 0, -(-2 * n // 3), 0, True]
+        assert tree[0] in (0, 1) and tree[1:3] == [0, True] and tree[3] == 0 and tree[5:] == [0, True]
+        assert report["vmpeak_kib"] <= 160 << 10
 
     def test_huge_header_in_bounded_memory(self, tmp_path):
         # twelve bytes that claim 10^8 vertices and no edges: rejected as no

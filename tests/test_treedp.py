@@ -96,7 +96,7 @@ def test_closed_forms_at_ten_thousand(n, edges, expected):
 
 def pull_reference(t, x, root):
     """The pull-style DP that ``gamma_R_tree`` replaced, rooted at ``root``."""
-    return _down_terms(t, frozenset(x), *rooted(t._adj, root))[root][1]
+    return _down_terms(t, frozenset(x), *rooted(t._nbr, root, t._off))[root][1]
 
 
 def swap_with_zero(t, x, r):
