@@ -84,6 +84,8 @@ def _from_ends(n: int, ends: array) -> tuple[array, array, None]:
     allocates a degree per vertex and a number per edge, both let go on
     return.
     """
+    if len(ends) % 2:
+        raise ValueError(f"{len(ends)} endpoints do not pair up into edges")
     it = iter(ends)
     bad = bool(ends) and (min(ends) < 0 or max(ends) >= n) or any(map(eq, it, it))
     if not bad:
@@ -152,9 +154,11 @@ class Graph:
     tasks; ``labels`` is a read-only view of the constructor's copy.
     Equality and hashing ignore labels.  The constructor's ``edges`` may be
     pairs, or one flat ``array`` of endpoints ``a0 b0 a1 b1 ...`` (what the
-    parser reads, filled in with nothing per edge or vertex beyond the
-    arrays); either way range, loops and repeats are checked in bulk, and
-    the first bad edge in input order is named only when one fails.
+    parser reads from a large input: nothing is allocated per edge or
+    vertex beyond the arrays, where pairs cost a few hundred bytes per
+    vertex on the way but build faster); either way range, loops and
+    repeats are checked in bulk, and the first bad edge in input order is
+    named only when one fails.
     """
 
     __slots__ = ("n", "labels", "_off", "_nbr", "_edges")
@@ -170,7 +174,8 @@ class Graph:
     def _fill(self, n: int, edges, labels) -> Optional[list[list[int]]]:
         """Check and set every attribute; return the neighbour lists that
         pairs are sorted into on the way (None for flat endpoints), which
-        ``Tree`` walks to certify itself."""
+        ``Tree`` walks to certify itself: indexing them costs less than
+        slicing the arrays once per vertex."""
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         off, nbr, runs = (_from_ends if isinstance(edges, array) else _from_pairs)(n, edges)
@@ -238,13 +243,7 @@ def rooted(
     order = [root]
     parent[root] = root
     for v in order:
-        if off is None:
-            run = nbr[v]
-        elif (end := off[v + 1]) - (start := off[v]) > 1 or v == root:
-            run = nbr[start:end]
-        else:
-            continue  # a leaf reached from its one neighbour
-        for u in run:
+        for u in nbr[v] if off is None else nbr[off[v] : off[v + 1]]:
             if parent[u] == -1:
                 parent[u] = v
                 order.append(u)
@@ -319,10 +318,13 @@ def _raise_first_bad_line(raw: list[str], n: int) -> None:
 
 G = TypeVar("G", bound=Graph)
 
-# The parser reads a graph of up to this order as pairs, which is faster
-# there and takes a few hundred bytes per vertex, under 3 MB in all; a larger
-# one goes into one flat array of endpoints, nothing per edge or vertex.
-_FLAT_ABOVE = 1 << 13
+# The parser reads a graph of up to this order as pairs and a larger one
+# into one flat array of endpoints.  Paired timings of ``parse_tree`` on
+# relabelled paths and random trees (Python 3.11, 2-core Xeon) put the flat
+# read 30-60% slower up to 1,000 vertices, 13-23% at 10,000, about 5% at
+# 12,000 and level from 20,000, while pairs peak at about 400 bytes per
+# vertex from 10,000 on against the flat read's 85.
+_FLAT_ABOVE = 12_000
 
 
 def _parse(text: str, cls: type[G]) -> G:
@@ -358,12 +360,8 @@ def _parse(text: str, cls: type[G]) -> G:
             return cls(n, [(int(a), int(b)) for a, b in map(str.split, body)])
         # Each line as its first token and the rest: the rest of a line of
         # three or more tokens holds a space, which ``int`` refuses, and a
-        # line of one token leaves the array short.  Read in chunks, so
-        # only a few thousand endpoints are ever Python ints at once.
-        tokens = map(int, chain.from_iterable(map(str.split, body, repeat(None), repeat(1))))
-        ends = array("i")
-        while chunk := list(islice(tokens, 4096)):
-            ends.fromlist(chunk)
+        # line of one token leaves the array short.
+        ends = array("i", map(int, chain.from_iterable(map(str.split, body, repeat(None), repeat(1)))))
         del lines, body
         if len(ends) != 2 * m:
             raise ValueError  # a line of one token, which the rescan names

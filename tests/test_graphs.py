@@ -423,6 +423,11 @@ class TestConstruction:
                 else:
                     assert got == ref, (cls, n, edges)
         assert built >= 600
+        # an odd count of endpoints leaves the last one without a partner,
+        # which fails rather than being dropped
+        for n, ends in [(3, [0, 1, 2]), (1, [0]), (2, [0, 1, 1])]:
+            for cls in (Graph, Tree):
+                assert outcome(cls, n, array("i", ends)) == (ValueError, f"{len(ends)} endpoints do not pair up into edges")
 
     @pytest.mark.parametrize(
         "n, edges",
