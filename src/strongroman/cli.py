@@ -8,11 +8,11 @@ Exit codes: 0 for success or a positive decision, 1 for a negative decision,
 The ``solve``, ``recognize``, ``generate`` and ``gadget`` commands emit
 certificates, each computing its result from its ``input`` payload.
 ``verify`` has one rule: compute the result again from the certificate's
-input and compare it whole, as serialized.  Two results are replayed
-instead, without repeating the search: an accepting ``recognize`` trace
-(``verify_trace``, which binds each step's ``w`` in its emitted order) and a
-``generate`` step list (``replay`` from a seed, which binds the order ``n``
-but not the ``seed``: the steps are not drawn again).
+input, one its command can emit, and compare it whole, as serialized.  Two
+results are replayed instead, without repeating the search: an accepting
+``recognize`` trace (``verify_trace``, which binds each step's ``w`` in its
+emitted order) and a ``generate`` step list (``replay`` from a seed, which
+binds the order ``n`` but not the ``seed``: the steps are not drawn again).
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ def _read(path: str) -> str:
 def _solve_result(inp: dict) -> tuple[dict, Tree]:
     t = parse_tree(inp["graph"])
     x = _parse_x_spec(inp["x"], t)
-    if inp["method"] == "dp-rdf":
-        return {"method": "dp-rdf", "gamma_R": gamma_R_tree(t, x)}, t
-    return {"method": "oracle", **solve_report(t, x).to_json_dict()}, t
+    fields = {"oracle": lambda: solve_report(t, x).to_json_dict(), "dp-rdf": lambda: {"gamma_R": gamma_R_tree(t, x)}}
+    return {"method": inp["method"], **fields[inp["method"]]()}, t
 
 
 def _recognize_result(inp: dict) -> tuple[dict, Tree]:
@@ -135,18 +134,27 @@ def _gadget_result(inp: dict) -> tuple[dict, Graph]:
     return result, gg.graph
 
 
-# Each certificate kind: its input payload from the parsed flags, and
-# ``result, graph = compute(input)`` (``graph`` is what ``--dot`` writes).
+# Each certificate kind: the type of each value of its input payload, the
+# payload from the parsed flags, and ``result, graph = compute(input)``
+# (``graph`` is what ``--dot`` writes).
 _KINDS = {
-    "solve": (lambda args: {"graph": _read(args.tree), "x": args.x, "method": args.method}, _solve_result),
-    "recognize": (lambda args: {"graph": _read(args.tree)}, _recognize_result),
-    "generate": (lambda args: {"n": args.n, "seed": args.seed}, _grow),
-    "gadget": (lambda args: {"cnf": _read(args.cnf), "verify": bool(args.verify)}, _gadget_result),
+    "solve": (
+        {"graph": str, "x": str, "method": str},
+        lambda args: {"graph": _read(args.tree), "x": args.x, "method": args.method},
+        _solve_result,
+    ),
+    "recognize": ({"graph": str}, lambda args: {"graph": _read(args.tree)}, _recognize_result),
+    "generate": ({"n": int, "seed": int}, lambda args: {"n": args.n, "seed": args.seed}, _grow),
+    "gadget": (
+        {"cnf": str, "verify": bool},
+        lambda args: {"cnf": _read(args.cnf), "verify": bool(args.verify)},
+        _gadget_result,
+    ),
 }
 
 
 def _cmd_certify(args) -> int:
-    input_of, compute = _KINDS[args.command]
+    _, input_of, compute = _KINDS[args.command]
     inp = input_of(args)
     result, graph = compute(inp)
     if getattr(args, "dot", None):
@@ -182,7 +190,7 @@ def _reproduced(kind: str, inp: dict, result: dict) -> bool:
         if not _same({"strongly_equal": True, "trace": trace.to_json_dict()}, result):
             return False
         return verify_trace(triple_for_tree(parse_tree(inp["graph"])), trace)
-    return _same(_KINDS[kind][1](inp)[0], result)
+    return _same(_KINDS[kind][2](inp)[0], result)
 
 
 def _cmd_verify(args) -> int:
@@ -198,10 +206,12 @@ def _cmd_verify(args) -> int:
         _emit({"kind": kind, "verified": False, "detail": "input digest mismatch"})
         return 1
     try:
-        ok = _reproduced(kind, cert["input"], cert["result"])
-    except (AttributeError, KeyError, TypeError, ValueError):
-        # a result that does not parse or rebuild (a missing key, a wrong
-        # type, an inapplicable step) fails the check like any other mismatch
+        # an input the command cannot emit (a key added or dropped, a value of
+        # another type, an unknown method) or a result that does not parse or
+        # rebuild (a non-finite number, an inapplicable step) fails the check
+        types = {key: type(value) for key, value in cert["input"].items()}
+        ok = types == _KINDS[kind][0] and _reproduced(kind, cert["input"], cert["result"])
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
         ok = False
     _emit({"kind": kind, "verified": ok, "detail": "reproduced" if ok else "result mismatch"})
     return 0 if ok else 1

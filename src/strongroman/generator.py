@@ -17,8 +17,8 @@ and ``_extension`` the edges and X/Y vertices it adds.  ``apply_op`` and
 
 Cost: operations 4 and 5 are anchored at reduction configurations.
 ``enumerate_T`` lists a parent's steps with ``applicable_steps``, which
-reads ``Triple.anchors`` (one O(n) pass of ``recognizer.configurations``,
-kept on the triple), and applies each child with ``apply_op``, which builds
+reads ``Triple.anchors`` (one O(n) pass by the S-leaf rule, kept on the
+triple), and applies each child with ``apply_op``, which builds
 and validates the child tree in O(n log n); it relabels a child canonically
 only when its canonical form is new.  Sequential growth and replay run on
 the builder instead, which keeps the anchors up to date as steps apply: a
@@ -244,25 +244,20 @@ class _Builder:
     """A triple under growth that keeps the anchors of operations 4 and 5
     up to date as steps apply, and builds one validated ``Triple`` at the end.
 
-    Let S be the minimal subtree spanning Y, with |Y| >= 2.  A branch at w,
-    seen from v, holds exactly one Y-vertex exactly when w is a leaf of S and
-    v is its neighbour in S.  By the counting form of ``configurations``, v
-    is then a cut vertex (an op-4 anchor) exactly when v lies in Y, has at
-    least three X-neighbours, and every neighbour of v but at most one is a
-    leaf of S, that one lying in Y.  The branch roots (op-5 anchors) are the
-    leaves of S whose neighbour in S is a cut vertex.
-
-    No operation removes a vertex from Y, so S only grows.  Parent pointers
-    are rooted at the first Y-vertex, and a new Y-vertex joins S by walking
-    them up to S.  Per vertex the builder keeps its degree in S (-1 outside
-    S), the sum of its neighbours in S (a leaf's one neighbour there), its
-    X-neighbour count, how many of its neighbours are leaves of S, and the
-    sum of those that are not (the one such neighbour, when there is one).
-    A step marks the vertices whose counts it changes, and ``_settle``
-    re-derives the anchors there and, where a cut vertex came or went, at
-    its neighbours.  Every count that the cut condition reads changes
-    monotonically after the first Y-vertex, so each vertex changes its cut
-    status O(1) times and growth costs O(log n) amortized per step.
+    The anchors follow the S-leaf rule of ``Triple.anchors``, with S the
+    minimal subtree spanning Y; ``_is_cut`` evaluates it at one vertex from
+    the counts kept here.  No operation removes a vertex from Y, so S only
+    grows.  Parent pointers are rooted at the first Y-vertex, and a new
+    Y-vertex joins S by walking them up to S.  Per vertex the builder keeps
+    its degree in S (-1 outside S), the sum of its neighbours in S (a leaf's
+    one neighbour there), its X-neighbour count, how many of its neighbours
+    are leaves of S, and the sum of those that are not (the one such
+    neighbour, when there is one).  A step marks the vertices whose counts
+    it changes, and ``_settle`` re-derives the anchors there and, where a
+    cut vertex came or went, at its neighbours.  Every count that the cut
+    condition reads changes monotonically after the first Y-vertex, so each
+    vertex changes its cut status O(1) times and growth costs O(log n)
+    amortized per step.
 
     Every array has room for ``cap`` vertices from the start.  The pools of
     vertices outside Y and outside X start full, since each new vertex

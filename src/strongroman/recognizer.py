@@ -50,7 +50,7 @@ class Triple:
     Requires ``x <= y <= V``; candidate members never violate this, so it is
     enforced at construction.  Two values are computed on first use and then
     kept, which is safe as a triple is immutable: ``canonical_key``, and
-    ``anchors``, where the generator's operations 4 and 5 may attach.
+    ``anchors`` (by the S-leaf rule), where operations 4 and 5 may attach.
     """
 
     tree: Tree
@@ -81,11 +81,37 @@ class Triple:
     @cached_property
     def anchors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The cut vertices (op-4 anchors) and the branch roots (op-5
-        anchors) of the ``configurations``, each in increasing order."""
-        configs = configurations(self)
-        cuts = sorted({v for v, _ in configs})
-        roots = sorted({w for v, u in configs for w in self.tree.neighbors(v) if w != u})
-        return tuple(cuts), tuple(roots)
+        anchors) of the reduction configurations, each in increasing order.
+
+        The S-leaf rule, with S the minimal subtree spanning Y: v is a cut
+        vertex exactly when v lies in Y, has at least three X-neighbours,
+        and every neighbour of v but at most one, which then lies in Y, is a
+        leaf of S hanging from v.  That is ``_classify`` at (v, u) for some
+        u: as X <= Y, a branch meets Y in its root alone exactly when the
+        root is such a leaf, and ell >= 3, or ell = 2 with u in X, exactly
+        when v has at least three X-neighbours.  The branch roots are the
+        leaves of S hanging from a cut vertex.  One O(n) pass: the Y-count
+        of a neighbour's side is a subtree count over the certifying walk.
+        """
+        t, x, y = self.tree, self.x, self.y
+        off, nbr = t._off, t._nbr
+        parent, order = t.walk
+        below = [0] * t.n  # Y-vertices in the subtree of each vertex
+        for w in reversed(order):
+            below[w] += w in y
+            if w != parent[w]:
+                below[parent[w]] += below[w]
+        cuts, roots = [], []
+        for v in y:
+            around = nbr[off[v] : off[v + 1]]
+            if sum(z in x for z in around) >= 3:
+                # the neighbours that are not leaves of S hanging from v:
+                # outside Y, or with another Y-vertex on their side of v
+                others = [z for z in around if z not in y or (below[z] if parent[z] == v else len(y) - below[v]) != 1]
+                if len(others) <= 1 and y.issuperset(others):
+                    cuts.append(v)
+                    roots += (z for z in around if z not in others)
+        return tuple(sorted(cuts)), tuple(sorted(roots))
 
     def canonicalized(self) -> tuple["Triple", dict[int, int]]:
         """Canonically relabelled copy plus the old-to-new vertex map."""
@@ -353,43 +379,6 @@ def configuration_case(tr: Triple, v: int, u: int) -> Optional[str]:
         raise ValueError(f"({v},{u}) is not an edge")
     found = _Chain(tr).cut(v, u)
     return None if found is None else found[2]
-
-
-def configurations(tr: Triple) -> list[tuple[int, int]]:
-    """Every ``(v, u)`` at which ``configuration_case`` is not ``None``, in
-    order of ``v`` then ``u``, found in one linear pass.
-
-    The counting form of ``_classify``: u and v lie in Y, every other
-    neighbor w of v lies in Y with exactly one Y-vertex in its branch (which,
-    as X <= Y, also gives the configuration premise), and ell, the number of
-    those w in X, is at least three, or two with u in X.  A branch's Y-count
-    is a subtree count over the tree's certifying walk from vertex 0, or |Y|
-    minus the count on the other side of the edge.
-    """
-    t, x, y = tr.tree, tr.x, tr.y
-    off, nbr = t._off, t._nbr
-    parent, order = t.walk
-    below = [0] * t.n  # Y-vertices in the subtree of each vertex
-    for w in reversed(order):
-        below[w] += w in y
-        if w != parent[w]:
-            below[parent[w]] += below[w]
-    out = []
-    for v in t.vertices():
-        if v not in y:
-            continue
-        up = len(y) - below[v]  # Y-vertices outside the subtree of v
-        around = nbr[off[v] : off[v + 1]]
-        # neighbors that cannot root a branch; one of them can only be u
-        bad = [w for w in around if w not in y or (below[w] if parent[w] == v else up) != 1]
-        if len(bad) > 1:
-            continue
-        x_neighbors = sum(w in x for w in around)
-        for u in bad or around:
-            ell = x_neighbors - (u in x)
-            if u in y and (ell >= 3 or (ell == 2 and u in x)):
-                out.append((v, u))
-    return out
 
 
 def find_locus(tr: Triple) -> ReductionLocus:

@@ -406,6 +406,56 @@ class TestVerifyCommand:
         code, (res,) = run_json(capsys, ["verify", str(p)])
         assert code == 1 and res["verified"] is False and res["detail"] == "result mismatch"
 
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (["solve", "{star}"], "method", "bogus"),
+            (["solve", "{star}"], "method", 0),
+            (["gadget", "{cnf}", "--verify"], "verify", 1),
+            (["gadget", "{cnf}", "--verify"], "verify", "yes"),
+            (["gadget", "{cnf}"], "verify", []),
+            (["generate", "--n", "6", "--seed", "2"], "seed", "x"),
+            (["solve", "{star}"], "extra", "all"),
+            (["recognize", "{star}"], "extra", None),
+            (["generate", "--n", "6", "--seed", "2"], "extra", 0),
+            (["gadget", "{cnf}"], "extra", False),
+        ],
+        ids=[
+            "solve method bogus",
+            "solve method 0",
+            "gadget verify 1",
+            "gadget verify yes",
+            "gadget verify []",
+            "generate seed x",
+            "solve extra key",
+            "recognize extra key",
+            "generate extra key",
+            "gadget extra key",
+        ],
+    )
+    def test_forged_input_fails(self, capsys, tmp_path, star_file, cnf_file, argv, key, value):
+        # an input the command never emits fails although its digest is
+        # recomputed and its result is the one it would compute
+        run([a.format(star=star_file, cnf=cnf_file) for a in argv])
+        cert = json.loads(capsys.readouterr().out)
+        cert["input"][key] = value
+        cert["digest"] = cli._digest(cert["input"])
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        code, (res,) = run_json(capsys, ["verify", str(p)])
+        assert code == 1 and res == {"kind": cert["kind"], "verified": False, "detail": "result mismatch"}
+
+    def test_changed_generate_seed_still_verifies(self, capsys, tmp_path):
+        # the documented exemption: the steps are replayed, not drawn again
+        run(["generate", "--n", "12", "--seed", "3"])
+        cert = json.loads(capsys.readouterr().out)
+        cert["input"]["seed"] = 4
+        cert["digest"] = cli._digest(cert["input"])
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        code, (res,) = run_json(capsys, ["verify", str(p)])
+        assert code == 0 and res == {"kind": "generate", "verified": True, "detail": "reproduced"}
+
     def test_other_certificate_version_fails(self, capsys, tmp_path, star_file):
         run(["recognize", star_file])
         cert = json.loads(capsys.readouterr().out)

@@ -1,10 +1,10 @@
 import hashlib
 import json
 import re
+from functools import cached_property
 
 import pytest
 
-from strongroman import recognizer
 from strongroman.graphs import Tree
 from strongroman.generator import (
     OperationNotApplicable,
@@ -234,17 +234,19 @@ def test_apply_op_accepts_exactly_the_yielded_anchors():
 
 
 def test_configurations_scanned_once_per_parent(monkeypatch):
-    # Triple.anchors keeps the scan, so listing a parent's steps and applying
+    # Triple.anchors keeps its pass, so listing a parent's steps and applying
     # its op-4 and op-5 steps scan the parent once, and a child not at all;
     # growth and replay keep the anchors on the builder and scan no triple
     scanned = []
-    scan = recognizer.configurations
+    scan = Triple.anchors.func
 
     def counting(tr):
         scanned.append(tr)  # keeps each scanned triple alive, so ids stay unique
         return scan(tr)
 
-    monkeypatch.setattr(recognizer, "configurations", counting)
+    counted = cached_property(counting)
+    counted.__set_name__(Triple, "anchors")
+    monkeypatch.setattr(Triple, "anchors", counted)
     members = enumerate_T(8)
     ids = {id(tr) for tr in scanned}
     assert 0 < len(ids) == len(scanned)

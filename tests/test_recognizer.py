@@ -16,7 +16,6 @@ from strongroman.recognizer import (
     _decide,
     _locus,
     configuration_case,
-    configurations,
     decide_in_S,
     find_locus,
     triple_for_tree,
@@ -352,11 +351,16 @@ def test_configuration_case_examples():
     assert configuration_case(big, 0, 1) == "b"
 
 
-def _reference_configurations(tr):
-    return [(v, u) for v in tr.tree.vertices() for u in tr.tree.neighbors(v) if configuration_case(tr, v, u)]
+def _reference_anchors(tr):
+    """The cut vertices and branch roots folded from ``configuration_case``
+    over every edge, the definition that ``Triple.anchors`` restates."""
+    configs = [(v, u) for v in tr.tree.vertices() for u in tr.tree.neighbors(v) if configuration_case(tr, v, u)]
+    cuts = sorted({v for v, _ in configs})
+    roots = sorted({w for v, u in configs for w in tr.tree.neighbors(v) if w != u})
+    return tuple(cuts), tuple(roots)
 
 
-def test_configurations_match_configuration_case(closure10):
+def test_anchors_match_configuration_case(closure10):
     from strongroman.generator import random_member
 
     triples = list(closure10.values())
@@ -375,9 +379,9 @@ def test_configurations_match_configuration_case(closure10):
                 triples.append(Triple(tr.tree, tr.x, tr.y - {min(tr.y - tr.x)}))
     found = 0
     for tr in triples:
-        expected = _reference_configurations(tr)
-        assert configurations(tr) == expected
-        found += bool(expected)
+        expected = _reference_anchors(tr)
+        assert tr.anchors == expected
+        found += bool(expected[0])
     assert found > 1000  # the comparison is not vacuous
 
 

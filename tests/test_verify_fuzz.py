@@ -12,6 +12,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -61,7 +62,9 @@ def retyped(value) -> list:
     if isinstance(value, bool):
         return [int(value), str(value).lower(), None]
     if isinstance(value, int):
-        return [float(value), str(value), value != 0, [value]]
+        # json writes the infinities as Infinity and -Infinity and reads them
+        # back, as it reads 1e400, as floats that int() refuses
+        return [float(value), str(value), value != 0, [value], math.inf, -math.inf]
     if isinstance(value, str):
         return [int(value)] if value.lstrip("-").isdigit() else [[value], None]
     if isinstance(value, list):
