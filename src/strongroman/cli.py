@@ -199,7 +199,7 @@ def _cmd_verify(args) -> int:
     kind = cert.get("kind")
     if kind not in _KINDS:
         raise ValueError(f"unknown certificate kind {kind!r}")
-    if cert.get("certificate_version") != CERTIFICATE_VERSION:
+    if not _same(cert.get("certificate_version"), CERTIFICATE_VERSION):  # as serialized: 3.0 is not 3
         _emit({"kind": kind, "verified": False, "detail": f"certificate_version is not {CERTIFICATE_VERSION}"})
         return 1
     if cert.get("digest") != _digest(cert.get("input", {})):

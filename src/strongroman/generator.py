@@ -45,14 +45,14 @@ ENUMERATION_ORDER_CAP = 10
 # branch roots for op 5.
 _VARIANTS = {1: 1, 2: 2, 3: 4, 4: 2, 5: 1}
 
-# Each operation's anchor pool, an index into (vertices outside Y, vertices
-# outside X, cut vertices, branch roots), and the clause that refuses an
-# anchor outside that pool.  Operation 2's anchor must avoid Y, not just X:
-# the two-branch reduction pins the smaller certificate set to Y minus the
-# anchor, so anchoring at a Y-vertex would demand a second, different
-# certificate set for the same (tree, X), which uniqueness forbids.
-# Anchoring at a Y-vertex demonstrably creates triples the exhaustive oracle
-# rejects.
+# Each operation's anchor set, an index into (Y, X, cut vertices, branch
+# roots), and the clause that refuses its anchor: operations 1-3 anchor
+# outside their set, 4 and 5 inside it.  Operation 2's anchor must avoid Y,
+# not just X: the two-branch reduction pins the smaller certificate set to
+# Y minus the anchor, so anchoring at a Y-vertex would demand a second,
+# different certificate set for the same (tree, X), which uniqueness
+# forbids.  Anchoring at a Y-vertex demonstrably creates triples the
+# exhaustive oracle rejects.
 _POOL = {1: 0, 2: 0, 3: 1, 4: 2, 5: 3}
 _CLAUSE = (
     "anchor must lie outside Y",
@@ -99,8 +99,8 @@ class OpStep:
 def _check(step: OpStep, n: int, sets: Sequence[Container[int]]) -> None:
     """Raise ``OperationNotApplicable`` unless the anchor is a vertex of an
     order-``n`` triple in its operation's pool.  ``sets`` holds Y, X, the
-    cut vertices and the branch roots; pools 0 and 1 are the vertices
-    outside the first two, pools 2 and 3 the other two."""
+    cut vertices and the branch roots; the pools are the vertices outside
+    the first two and the members of the other two."""
     op, a = step.op, step.anchor
     if not (0 <= a < n):
         raise OperationNotApplicable(op, f"anchor {a} is not a vertex")
@@ -152,7 +152,8 @@ def apply_op(tr: Triple, step: OpStep) -> Triple:
     """Apply one extension operation, validating its applicability condition."""
     _check(step, tr.n, (tr.y, tr.x, *tr.anchors))
     edges, new_x, new_y = _extension(step, tr.n)
-    return Triple(Tree(tr.n + len(edges), tr.tree.edges + edges), tr.x.union(new_x), tr.y.union(new_y))
+    links = [(p, v) for v, p in enumerate(tr.tree.walk[0]) if p != v]  # the parent's edges
+    return Triple(Tree(tr.n + len(edges), links + list(edges)), tr.x.union(new_x), tr.y.union(new_y))
 
 
 def applicable_steps(tr: Triple, max_order: int) -> Iterator[OpStep]:
@@ -198,44 +199,47 @@ def enumerate_T(n_max: int) -> dict[str, Triple]:
 
 
 class _Pool:
-    """A set of vertices below a fixed capacity that answers ``in``, how
-    many members lie below a bound, and its k-th smallest member, the last
-    two in O(log n): a Fenwick tree over membership flags (Fenwick, "A new
-    data structure for cumulative frequency tables", Software: Practice and
-    Experience 24(3), 1994)."""
+    """A set of vertices below a fixed capacity, empty at first, that
+    answers ``in``, how many members or non-members lie below a bound, and
+    the k-th smallest of either, the last two in O(log n): a Fenwick tree
+    over membership flags (Fenwick, "A new data structure for cumulative
+    frequency tables", Software: Practice and Experience 24(3), 1994)."""
 
-    def __init__(self, cap: int, full: bool):
-        self.flags = bytearray([full]) * cap
+    def __init__(self, cap: int):
+        self.flags = bytearray(cap)
         # one-based: tree[i] counts the members among i - lowbit(i) .. i - 1
-        self.tree = [(i & -i) * full for i in range(cap + 1)]
+        self.tree = [0] * (cap + 1)
 
     def __contains__(self, v: int) -> bool:
         return self.flags[v] == 1
 
-    def below(self, n: int) -> int:
-        tree, count = self.tree, 0
-        while n:
-            count += tree[n]
-            n &= n - 1
-        return count
+    def below(self, n: int, member: bool = True) -> int:
+        tree, count, i = self.tree, 0, n
+        while i:
+            count += tree[i]
+            i &= i - 1
+        return count if member else n - count
 
-    def set(self, v: int, member: bool) -> None:
+    def set(self, v: int, member: bool) -> bool:
+        """Whether this changed the membership of v."""
         if self.flags[v] == member:
-            return
+            return False
         self.flags[v] = member
         d = 1 if member else -1
         tree, i, end = self.tree, v + 1, len(self.tree)
         while i < end:
             tree[i] += d
             i += i & -i
+        return True
 
-    def kth(self, k: int) -> int:
-        """The member with exactly ``k`` smaller members."""
+    def kth(self, k: int, member: bool = True) -> int:
+        """The member, or the non-member, with exactly ``k`` smaller ones."""
         tree, pos, step = self.tree, 0, 1 << len(self.flags).bit_length()
         while step:
-            if pos + step < len(tree) and tree[pos + step] <= k:
+            # tree[pos + step] counts the members among the next ``step`` slots
+            if pos + step < len(tree) and (count := tree[pos + step] if member else step - tree[pos + step]) <= k:
                 pos += step
-                k -= tree[pos]
+                k -= count
             step >>= 1
         return pos
 
@@ -259,23 +263,20 @@ class _Builder:
     vertex changes its cut status O(1) times and growth costs O(log n)
     amortized per step.
 
-    Every array has room for ``cap`` vertices from the start.  The pools of
-    vertices outside Y and outside X start full, since each new vertex
-    joins both; only their members below ``n`` are vertices.
+    Each fact is held once: the tree as its adjacency lists, and Y, X, the
+    cut vertices and the branch roots as the four pools, the sets ``_check``
+    reads.  Every array has room for ``cap`` vertices from the start.
     """
 
     def __init__(self, start: Triple, cap: int):
         """A builder holding ``start``, with room for ``cap`` vertices."""
         self.n = start.n
-        self.edges: list[tuple[int, int]] = []
-        self.x: set[int] = set()
-        self.y: set[int] = set()
         self.adj: list[list[int]] = [[] for _ in range(cap)]
         self.parent = [-1] * cap
         self.s_degree = [-1] * cap
         self.s_sum, self.x_count, self.leaf_count, self.other_sum = ([0] * cap for _ in range(4))
         self.dirty: set[int] = set()
-        self.pools = (_Pool(cap, True), _Pool(cap, True), _Pool(cap, False), _Pool(cap, False))  # as _POOL
+        self.pools = tuple(_Pool(cap) for _ in range(4))  # Y, X, cut vertices, branch roots
         for a, b in start.tree.edges:
             self._link(a, b)
         for v in start.y:
@@ -288,18 +289,18 @@ class _Builder:
         """The step that ``rng.choice(list(applicable_steps(t, max_order)))``
         picks on the triple t held here, consuming the same randomness."""
         ops = _fitting(self.n, max_order)
-        sizes = [self.pools[_POOL[op]].below(self.n) * _VARIANTS[op] for op in ops]
+        sizes = [self.pools[_POOL[op]].below(self.n, _POOL[op] >= 2) * _VARIANTS[op] for op in ops]
         i = rng.randrange(sum(sizes))
         for op, size in zip(ops, sizes):
             if i < size:
                 break
             i -= size
         k = _VARIANTS[op]
-        return OpStep(op, self.pools[_POOL[op]].kth(i // k), i % k)
+        return OpStep(op, self.pools[_POOL[op]].kth(i // k, _POOL[op] >= 2), i % k)
 
     def apply(self, step: OpStep) -> None:
         """Apply ``step`` as ``apply_op`` would, raising as it does."""
-        _check(step, self.n, (self.y, self.x, *self.pools[2:]))
+        _check(step, self.n, self.pools)
         edges, new_x, new_y = _extension(step, self.n)
         self.n += len(edges)
         for a, b in edges:
@@ -311,30 +312,31 @@ class _Builder:
         self._settle()
 
     def triple(self) -> Triple:
-        return Triple(Tree(self.n, self.edges), self.x, self.y)
+        tree = Tree(self.n, [(a, b) for a in range(self.n) for b in self.adj[a] if a < b])
+        # the sets take their vertex ints from the walk, so as to share them
+        y, x = (frozenset([v for v in tree.walk[1] if p.flags[v]]) for p in self.pools[:2])
+        return Triple(tree, x, y)
 
     def _link(self, a: int, b: int) -> None:
         """Add the edge ab while b lies outside S and X; b hangs from a
         (before the first Y-vertex, ``_root_at`` resets every parent)."""
-        self.edges.append((a, b))
+        x = self.pools[1].flags
         for p, q in ((a, b), (b, a)):
             self.adj[p].append(q)
             if self.s_degree[q] == 1:
                 self.leaf_count[p] += 1
             else:
                 self.other_sum[p] += q
-            self.x_count[p] += q in self.x
+            self.x_count[p] += x[q]
             self.dirty.add(p)
         self.parent[b] = a
 
     def _join_y(self, v: int) -> None:
-        if v in self.y:
+        if not self.pools[0].set(v, True):
             return
-        self.y.add(v)
-        self.pools[0].set(v, False)
         self.dirty.add(v)
         self.dirty.update(self.adj[v])  # a neighbour's one non-leaf may be v
-        if len(self.y) == 1:
+        if self.pools[0].below(self.n) == 1:  # the first Y-vertex
             self._root_at(v)
             return
         path = []
@@ -370,17 +372,16 @@ class _Builder:
         self.dirty.add(z)
 
     def _join_x(self, v: int) -> None:
-        if v in self.x:
+        if not self.pools[1].set(v, True):
             return
-        self.x.add(v)
-        self.pools[1].set(v, False)
         for w in self.adj[v]:
             self.x_count[w] += 1
         self.dirty.update(self.adj[v])
 
     def _is_cut(self, v: int) -> bool:
         k = len(self.adj[v]) - self.leaf_count[v]  # neighbours that are not leaves of S
-        return v in self.y and self.x_count[v] >= 3 and (k == 0 or (k == 1 and self.other_sum[v] in self.y))
+        y = self.pools[0].flags
+        return y[v] == 1 and self.x_count[v] >= 3 and (k == 0 or (k == 1 and y[self.other_sum[v]] == 1))
 
     def _settle(self) -> None:
         cuts, roots = self.pools[2], self.pools[3]

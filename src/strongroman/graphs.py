@@ -6,7 +6,7 @@ A graph is held flat, in CSR form (compressed sparse rows): two
 ``array('i')``, ``_off`` with the n + 1 offsets and ``_nbr`` with the 2m
 neighbours, so that the neighbours of v are ``_nbr[_off[v]:_off[v + 1]]``,
 in increasing order.  No object is kept per vertex or per edge; ``edges``
-is derived from the arrays when first read.  This module owns the
+is derived from the arrays on each read.  This module owns the
 primitives the other modules share: the flat layout, the one breadth-first
 traversal (``rooted``, over the flat layout or over per-vertex neighbour
 lists; every rooted pass goes through it) and the vertex-range check on
@@ -149,9 +149,9 @@ class Graph:
     Held as two flat integer arrays: ``_off`` (n + 1 offsets) and ``_nbr``
     (the 2m neighbours, each vertex's run sorted), so a graph keeps 12 bytes
     per vertex of a tree and no object per vertex or edge; ``edges`` is
-    derived from them when first read, and then kept.  Instances are
-    immutable after construction and safe to share between concurrent
-    tasks; ``labels`` is a read-only view of the constructor's copy.
+    derived from them on each read.  Instances are immutable after
+    construction and safe to share between concurrent tasks; ``labels`` is
+    a read-only view of the constructor's copy.
     Equality and hashing ignore labels.  The constructor's ``edges`` may be
     pairs, or one flat ``array`` of endpoints ``a0 b0 a1 b1 ...`` (what the
     parser reads from a large input: nothing is allocated per edge or
@@ -161,7 +161,7 @@ class Graph:
     named only when one fails.
     """
 
-    __slots__ = ("n", "labels", "_off", "_nbr", "_edges")
+    __slots__ = ("n", "labels", "_off", "_nbr")
 
     def __init__(
         self,
@@ -188,7 +188,6 @@ class Graph:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_off", off)
         object.__setattr__(self, "_nbr", nbr)
-        object.__setattr__(self, "_edges", None)
         return runs
 
     def __setattr__(self, name, value):
@@ -197,12 +196,9 @@ class Graph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge ``(a, b)`` with ``a < b``, in increasing order, derived
-        from the arrays on first use and then kept."""
-        if self._edges is None:
-            off, nbr = self._off, self._nbr
-            edges = tuple([(a, b) for a in range(self.n) for b in nbr[off[a] : off[a + 1]] if a < b])
-            object.__setattr__(self, "_edges", edges)
-        return self._edges
+        from the arrays on each read."""
+        off, nbr = self._off, self._nbr
+        return tuple([(a, b) for a in range(self.n) for b in nbr[off[a] : off[a + 1]] if a < b])
 
     def vertices(self) -> range:
         return range(self.n)

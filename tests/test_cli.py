@@ -456,11 +456,13 @@ class TestVerifyCommand:
         code, (res,) = run_json(capsys, ["verify", str(p)])
         assert code == 0 and res == {"kind": "generate", "verified": True, "detail": "reproduced"}
 
-    def test_other_certificate_version_fails(self, capsys, tmp_path, star_file):
+    @pytest.mark.parametrize("version", [2, 3.0, "3"])
+    def test_other_certificate_version_fails(self, capsys, tmp_path, star_file, version):
+        # the version is compared as serialized, like every other value
         run(["recognize", star_file])
         cert = json.loads(capsys.readouterr().out)
         assert cert["certificate_version"] == 3
-        cert["certificate_version"] = 2
+        cert["certificate_version"] = version
         p = tmp_path / "cert.json"
         p.write_text(json.dumps(cert))
         code, (res,) = run_json(capsys, ["verify", str(p)])

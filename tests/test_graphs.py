@@ -378,6 +378,18 @@ print(json.dumps([kept / n, peak / n]))
 """
 
 
+# Bytes per vertex left behind by reading ``edges`` of P_n once.
+_EDGES_MEMORY_CHILD = """
+import json, sys, tracemalloc
+from strongroman.graphs import Tree
+n = int(sys.argv[1])
+t = Tree(n, [(i, i + 1) for i in range(n - 1)])
+tracemalloc.start()
+assert len(t.edges) == n - 1
+print(json.dumps(tracemalloc.get_traced_memory()[0] / n))
+"""
+
+
 class TestConstruction:
     def test_bulk_validation_matches_per_edge_loop(self):
         rng = random.Random(2024)
@@ -458,6 +470,13 @@ class TestConstruction:
         # and per vertex took 201 and 445)
         kept, peak = run_child(_PARSE_MEMORY_CHILD, 20_000)
         assert kept <= 64 and peak <= 160, (kept, peak)
+
+    def test_edges_are_not_kept(self):
+        # ``edges`` is derived on each read: reading it on P_20000 and
+        # dropping the result keeps about 6 bytes per vertex (a tuple per
+        # edge, kept, took 126)
+        kept = run_child(_EDGES_MEMORY_CHILD, 20_000)
+        assert kept <= 16, kept
 
     def test_from_graph_labels_are_read_only(self):
         source = {0: "a"}
