@@ -21,10 +21,12 @@ reads ``Triple.anchors`` (one O(n) pass by the S-leaf rule, kept on the
 triple), and applies each child with ``apply_op``, which builds
 and validates the child tree in O(n log n); it relabels a child canonically
 only when its canonical form is new.  Sequential growth and replay run on
-the builder instead, which keeps the anchors up to date as steps apply: a
-step is drawn and applied in O(log n) amortized time, and one tree is
-validated at the end, so growing or replaying a member of order n costs
-O(n log n).
+the builder instead, which keeps the counts that the S-leaf rule reads at
+one vertex.  Replay checks each op-4 or op-5 anchor by the rule there, so a
+step applies in O(1) amortized time; growth also keeps the anchors counted
+from its first draw on, so a step is drawn and applied in O(log n)
+amortized time.  One tree is validated at the end, so replaying a member of
+order n costs O(n) plus that tree, and growing it O(n log n).
 """
 
 from __future__ import annotations
@@ -203,18 +205,32 @@ class _Pool:
     answers ``in``, how many members or non-members lie below a bound, and
     the k-th smallest of either, the last two in O(log n): a Fenwick tree
     over membership flags (Fenwick, "A new data structure for cumulative
-    frequency tables", Software: Practice and Experience 24(3), 1994)."""
+    frequency tables", Software: Practice and Experience 24(3), 1994).  The
+    flags and the member count ``size`` are kept always; the tree is built
+    from the flags in O(cap) on the first count or search, and kept up to
+    date from then on."""
 
     def __init__(self, cap: int):
         self.flags = bytearray(cap)
+        self.size = 0
         # one-based: tree[i] counts the members among i - lowbit(i) .. i - 1
-        self.tree = [0] * (cap + 1)
+        self.tree: Optional[list[int]] = None
 
     def __contains__(self, v: int) -> bool:
         return self.flags[v] == 1
 
+    def _count(self) -> list[int]:
+        if not self.size:
+            self.tree = [0] * (len(self.flags) + 1)
+            return self.tree
+        self.tree = tree = [0, *self.flags]
+        for i in range(1, len(tree)):
+            if (j := i + (i & -i)) < len(tree):
+                tree[j] += tree[i]
+        return tree
+
     def below(self, n: int, member: bool = True) -> int:
-        tree, count, i = self.tree, 0, n
+        tree, count, i = self.tree or self._count(), 0, n
         while i:
             count += tree[i]
             i &= i - 1
@@ -226,15 +242,18 @@ class _Pool:
             return False
         self.flags[v] = member
         d = 1 if member else -1
-        tree, i, end = self.tree, v + 1, len(self.tree)
-        while i < end:
-            tree[i] += d
-            i += i & -i
+        self.size += d
+        tree = self.tree
+        if tree is not None:
+            i, end = v + 1, len(tree)
+            while i < end:
+                tree[i] += d
+                i += i & -i
         return True
 
     def kth(self, k: int, member: bool = True) -> int:
         """The member, or the non-member, with exactly ``k`` smaller ones."""
-        tree, pos, step = self.tree, 0, 1 << len(self.flags).bit_length()
+        tree, pos, step = self.tree or self._count(), 0, 1 << len(self.flags).bit_length()
         while step:
             # tree[pos + step] counts the members among the next ``step`` slots
             if pos + step < len(tree) and (count := tree[pos + step] if member else step - tree[pos + step]) <= k:
@@ -244,28 +263,64 @@ class _Pool:
         return pos
 
 
+class _Cuts:
+    """The cut vertices of a ``_Builder``'s triple: a set that answers
+    ``in`` by the S-leaf rule at one vertex, from the builder's Y flags and
+    per-vertex counts.  It holds those, not the builder, so that no
+    reference cycle keeps a dropped builder alive."""
+
+    def __init__(
+        self, adj: list[list[int]], y: bytearray, x_count: list[int], leaf_count: list[int], other_sum: list[int]
+    ):
+        self.adj, self.y, self.x_count, self.leaf_count, self.other_sum = adj, y, x_count, leaf_count, other_sum
+
+    def __contains__(self, v: int) -> bool:
+        k = len(self.adj[v]) - self.leaf_count[v]  # neighbours that are not leaves of S
+        y = self.y
+        return y[v] == 1 and self.x_count[v] >= 3 and (k == 0 or (k == 1 and y[self.other_sum[v]] == 1))
+
+
+class _Roots:
+    """The branch roots of a ``_Builder``'s triple, the leaves of S hanging
+    from a cut vertex: a set that answers ``in`` as ``_Cuts`` does."""
+
+    def __init__(self, s_degree: list[int], s_sum: list[int], cuts: _Cuts):
+        self.s_degree, self.s_sum, self.cuts = s_degree, s_sum, cuts
+
+    def __contains__(self, w: int) -> bool:
+        return self.s_degree[w] == 1 and self.s_sum[w] in self.cuts
+
+
 class _Builder:
-    """A triple under growth that keeps the anchors of operations 4 and 5
-    up to date as steps apply, and builds one validated ``Triple`` at the end.
+    """A triple under growth that answers, at any vertex, whether it
+    anchors operation 4 or 5, and builds one validated ``Triple`` at the end.
 
     The anchors follow the S-leaf rule of ``Triple.anchors``, with S the
-    minimal subtree spanning Y; ``_is_cut`` evaluates it at one vertex from
-    the counts kept here.  No operation removes a vertex from Y, so S only
-    grows.  Parent pointers are rooted at the first Y-vertex, and a new
-    Y-vertex joins S by walking them up to S.  Per vertex the builder keeps
-    its degree in S (-1 outside S), the sum of its neighbours in S (a leaf's
-    one neighbour there), its X-neighbour count, how many of its neighbours
-    are leaves of S, and the sum of those that are not (the one such
-    neighbour, when there is one).  A step marks the vertices whose counts
-    it changes, and ``_settle`` re-derives the anchors there and, where a
-    cut vertex came or went, at its neighbours.  Every count that the cut
-    condition reads changes monotonically after the first Y-vertex, so each
-    vertex changes its cut status O(1) times and growth costs O(log n)
-    amortized per step.
+    minimal subtree spanning Y; ``_Cuts`` and ``_Roots`` evaluate it at one
+    vertex from the counts kept here.  No operation removes a vertex from Y,
+    so S only grows.  Parent pointers are rooted at the first Y-vertex, and
+    a new Y-vertex joins S by walking them up to S.  Per vertex the builder
+    keeps its degree in S (-1 outside S), the sum of its neighbours in S (a
+    leaf's one neighbour there), its X-neighbour count, how many of its
+    neighbours are leaves of S, and the sum of those that are not (the one
+    such neighbour, when there is one).  That is all ``apply`` checks and
+    updates, and all ``replay`` pays for: O(1) amortized per step beside
+    the walks into S.
+
+    ``draw`` needs the anchors counted as well.  From the first draw on,
+    the builder also keeps them in two ``_Pool`` sets, which that draw fills
+    by one pass over the rule.  After it, a step marks the vertices whose
+    counts it changes, and ``_settle``, at the next draw, evaluates the rule
+    again there and, where a cut vertex came or went, at its neighbours.
+    Every count that the cut condition reads changes monotonically after
+    the first Y-vertex, so each vertex changes its cut status O(1) times and
+    growth costs O(log n) amortized per step.
 
     Each fact is held once: the tree as its adjacency lists, and Y, X, the
-    cut vertices and the branch roots as the four pools, the sets ``_check``
-    reads.  Every array has room for ``cap`` vertices from the start.
+    cut vertices and the branch roots as ``pools``, the sets ``_check``
+    reads, the last two as the rule.  ``counted`` is the same four sets as
+    ``draw`` reads them: Y and X shared, the anchors as settled.  Every
+    array has room for ``cap`` vertices from the start.
     """
 
     def __init__(self, start: Triple, cap: int):
@@ -275,28 +330,33 @@ class _Builder:
         self.parent = [-1] * cap
         self.s_degree = [-1] * cap
         self.s_sum, self.x_count, self.leaf_count, self.other_sum = ([0] * cap for _ in range(4))
-        self.dirty: set[int] = set()
-        self.pools = tuple(_Pool(cap) for _ in range(4))  # Y, X, cut vertices, branch roots
+        y, x = _Pool(cap), _Pool(cap)
+        cuts = _Cuts(self.adj, y.flags, self.x_count, self.leaf_count, self.other_sum)
+        self.pools = (y, x, cuts, _Roots(self.s_degree, self.s_sum, cuts))
+        # from the first draw on: the pools counted, and the vertices to settle
+        self.counted: Optional[tuple[_Pool, ...]] = None
+        self.dirty: Optional[set[int]] = None
         for a, b in start.tree.edges:
             self._link(a, b)
         for v in start.y:
             self._join_y(v)
         for v in start.x:
             self._join_x(v)
-        self._settle()
 
     def draw(self, rng: random.Random, max_order: int) -> OpStep:
         """The step that ``rng.choice(list(applicable_steps(t, max_order)))``
         picks on the triple t held here, consuming the same randomness."""
+        self._settle()
+        pools = self.counted
         ops = _fitting(self.n, max_order)
-        sizes = [self.pools[_POOL[op]].below(self.n, _POOL[op] >= 2) * _VARIANTS[op] for op in ops]
+        sizes = [pools[_POOL[op]].below(self.n, _POOL[op] >= 2) * _VARIANTS[op] for op in ops]
         i = rng.randrange(sum(sizes))
         for op, size in zip(ops, sizes):
             if i < size:
                 break
             i -= size
         k = _VARIANTS[op]
-        return OpStep(op, self.pools[_POOL[op]].kth(i // k, _POOL[op] >= 2), i % k)
+        return OpStep(op, pools[_POOL[op]].kth(i // k, _POOL[op] >= 2), i % k)
 
     def apply(self, step: OpStep) -> None:
         """Apply ``step`` as ``apply_op`` would, raising as it does."""
@@ -309,7 +369,6 @@ class _Builder:
             self._join_y(v)
         for v in new_x:
             self._join_x(v)
-        self._settle()
 
     def triple(self) -> Triple:
         tree = Tree(self.n, [(a, b) for a in range(self.n) for b in self.adj[a] if a < b])
@@ -328,15 +387,18 @@ class _Builder:
             else:
                 self.other_sum[p] += q
             self.x_count[p] += x[q]
-            self.dirty.add(p)
         self.parent[b] = a
+        if self.dirty is not None:
+            self.dirty.update((a, b))
 
     def _join_y(self, v: int) -> None:
-        if not self.pools[0].set(v, True):
+        y = self.pools[0]
+        if not y.set(v, True):
             return
-        self.dirty.add(v)
-        self.dirty.update(self.adj[v])  # a neighbour's one non-leaf may be v
-        if self.pools[0].below(self.n) == 1:  # the first Y-vertex
+        if self.dirty is not None:
+            self.dirty.add(v)
+            self.dirty.update(self.adj[v])  # a neighbour's one non-leaf may be v
+        if y.size == 1:  # the first Y-vertex
             self._root_at(v)
             return
         path = []
@@ -368,33 +430,37 @@ class _Builder:
         for w in self.adj[z]:
             self.leaf_count[w] += d
             self.other_sum[w] -= d * z
-        self.dirty.update(self.adj[z])
-        self.dirty.add(z)
+        if self.dirty is not None:
+            self.dirty.update(self.adj[z])
+            self.dirty.add(z)
 
     def _join_x(self, v: int) -> None:
         if not self.pools[1].set(v, True):
             return
         for w in self.adj[v]:
             self.x_count[w] += 1
-        self.dirty.update(self.adj[v])
-
-    def _is_cut(self, v: int) -> bool:
-        k = len(self.adj[v]) - self.leaf_count[v]  # neighbours that are not leaves of S
-        y = self.pools[0].flags
-        return y[v] == 1 and self.x_count[v] >= 3 and (k == 0 or (k == 1 and y[self.other_sum[v]] == 1))
+        if self.dirty is not None:
+            self.dirty.update(self.adj[v])
 
     def _settle(self) -> None:
-        cuts, roots = self.pools[2], self.pools[3]
-        for v in list(self.dirty):
-            cut = self._is_cut(v)
-            if cut != (v in cuts):
+        """Bring the counted anchors up to the rule at the marked vertices;
+        the first call counts them at every vertex and starts the marking."""
+        if self.counted is None:
+            cap = len(self.adj)
+            self.counted = (*self.pools[:2], _Pool(cap), _Pool(cap))
+            self.dirty = set(range(self.n))
+        rule, cuts, roots = self.pools[2], *self.counted[2:]
+        is_cut, is_root, dirty = cuts.flags, roots.flags, self.dirty
+        for v in list(dirty):
+            cut = v in rule
+            if cut != is_cut[v]:
                 cuts.set(v, cut)
-                self.dirty.update(self.adj[v])
-        for w in self.dirty:
-            root = self.s_degree[w] == 1 and self.s_sum[w] in cuts
-            if root != (w in roots):
+                dirty.update(self.adj[v])
+        for w in dirty:
+            root = self.s_degree[w] == 1 and is_cut[self.s_sum[w]] == 1
+            if root != is_root[w]:
                 roots.set(w, root)
-        self.dirty.clear()
+        dirty.clear()
 
 
 def random_member(n: int, seed: int) -> tuple[Triple, list[OpStep]]:

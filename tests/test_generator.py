@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import random
 import re
+import weakref
 from functools import cached_property
 
 import pytest
@@ -300,6 +302,72 @@ def test_builder_anchors_on_every_small_triple():
                         assert builder_anchors(_Builder(tr, n)) == tr.anchors
 
 
+def counted_anchors(b: _Builder) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return tuple(tuple(v for v in range(b.n) if v in pool) for pool in b.counted[2:])
+
+
+@pytest.mark.parametrize("n", [12, 60, 200, 500])
+def test_draw_pools_follow_the_rule(n):
+    # after every draw of seeded growth, the cut vertices and branch roots
+    # that draw counts equal the rule's, which apply checks anchors by
+    for seed in range(4):
+        builder, rng = _Builder(EMPTY, n), random.Random(seed)
+        while builder.n < n:
+            step = builder.draw(rng, n)
+            assert counted_anchors(builder) == builder_anchors(builder)
+            builder.apply(step)
+
+
+def test_draw_from_a_started_builder(closure10):
+    # a builder started from a member counts pools that already have members
+    # at its first draw, and draws what rng.choice over applicable_steps draws
+    for i, m in enumerate(m for m in closure10.values() if 1 < m.n <= 8):
+        builder, limit = _Builder(m, m.n + 4), m.n + 4
+        expected = random.Random(i).choice(list(applicable_steps(m, limit)))
+        assert builder.draw(random.Random(i), limit) == expected
+        assert counted_anchors(builder) == m.anchors
+
+
+def test_replay_counts_nothing(monkeypatch):
+    # replay checks anchors by the rule alone: it builds no Fenwick counts,
+    # settles nothing and marks no vertex dirty
+    grown, steps = random_member(20_000, 0)
+    kept, build = [], _Builder.triple
+
+    def refuse(*args):
+        raise AssertionError("replay counted a pool")
+
+    def triple(b):
+        kept.append(b)
+        return build(b)
+
+    monkeypatch.setattr(_Pool, "_count", refuse)
+    monkeypatch.setattr(_Builder, "_settle", refuse)
+    monkeypatch.setattr(_Builder, "triple", triple)
+    assert replay(steps) == grown
+    [b] = kept
+    assert b.dirty is None and b.counted is None
+    assert all(pool.tree is None for pool in b.pools[:2])
+
+
+def test_replay_frees_its_builder(monkeypatch):
+    # the rule sets hold the builder's lists, not the builder, so no cycle
+    # keeps a replayed builder alive for the garbage collector to find
+    refs, build = [], _Builder.triple
+
+    def triple(b):
+        refs.append(weakref.ref(b))
+        return build(b)
+
+    monkeypatch.setattr(_Builder, "triple", triple)
+    gc.disable()
+    try:
+        replay(random_member(200, 0)[1])
+        assert refs[0]() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("cap", range(1, 41))
 def test_pool_matches_a_list(cap):
     # membership, the members and non-members below every bound, and the
@@ -346,6 +414,21 @@ print(json.dumps(kept / n))
 """
 
 
+# Bytes per vertex that replay keeps: the builder after applying a step
+# list of order n, grown before tracing starts.
+_REPLAY_MEMORY_CHILD = """
+import json, sys, tracemalloc
+from strongroman.generator import _Builder, base_triples, random_member
+n = int(sys.argv[1])
+_, steps = random_member(n, 0)
+tracemalloc.start()
+builder = _Builder(base_triples()[0], n)
+for step in steps:
+    builder.apply(step)
+print(json.dumps(tracemalloc.get_traced_memory()[0] / n))
+"""
+
+
 def test_growth_memory_per_vertex():
     # the builder holds each fact once: the adjacency lists, the per-vertex
     # counts and the four pools, with no edge list and no X or Y set beside
@@ -353,6 +436,14 @@ def test_growth_memory_per_vertex():
     # Python 3.11 (431 with the edge list and the sets)
     kept = run_child(_GROWTH_MEMORY_CHILD, 20_000)
     assert kept <= 360, kept
+
+
+def test_replay_memory_per_vertex():
+    # a builder that never draws keeps flags for Y and X and no Fenwick
+    # counts or counted anchors: at 20,000 vertices replay keeps 224 bytes
+    # per vertex under Python 3.11 (258 with the counts of all four pools)
+    kept = run_child(_REPLAY_MEMORY_CHILD, 20_000)
+    assert kept <= 240, kept
 
 
 def test_replay_refuses_what_apply_op_refuses():
