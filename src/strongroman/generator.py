@@ -24,9 +24,10 @@ only when its canonical form is new.  Sequential growth and replay run on
 the builder instead, which keeps the counts that the S-leaf rule reads at
 one vertex.  Replay checks each op-4 or op-5 anchor by the rule there, so a
 step applies in O(1) amortized time; growth also keeps the anchors counted
-from its first draw on, so a step is drawn and applied in O(log n)
-amortized time.  One tree is validated at the end, so replaying a member of
-order n costs O(n) plus that tree, and growing it O(n log n).
+from its first draw on, so a step is drawn (from the pools' member counts
+and one Fenwick search) and applied in O(log n) amortized time.  One tree
+is validated at the end, so replaying a member of order n costs O(n) plus
+that tree, and growing it O(n log n).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class OperationNotApplicable(ValueError):
         self.clause = clause
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpStep:
     """One extension: operation number, anchor vertex, constrained-set variant."""
 
@@ -202,13 +203,12 @@ def enumerate_T(n_max: int) -> dict[str, Triple]:
 
 class _Pool:
     """A set of vertices below a fixed capacity, empty at first, that
-    answers ``in``, how many members or non-members lie below a bound, and
-    the k-th smallest of either, the last two in O(log n): a Fenwick tree
-    over membership flags (Fenwick, "A new data structure for cumulative
-    frequency tables", Software: Practice and Experience 24(3), 1994).  The
-    flags and the member count ``size`` are kept always; the tree is built
-    from the flags in O(cap) on the first count or search, and kept up to
-    date from then on."""
+    answers ``in``, its member count ``size``, and the k-th smallest member
+    or non-member in O(log n): a Fenwick tree over membership flags
+    (Fenwick, "A new data structure for cumulative frequency tables",
+    Software: Practice and Experience 24(3), 1994).  The flags and ``size``
+    are kept always; the tree is built from the flags in O(cap) on the
+    first ``kth``, and kept up to date from then on."""
 
     def __init__(self, cap: int):
         self.flags = bytearray(cap)
@@ -228,13 +228,6 @@ class _Pool:
             if (j := i + (i & -i)) < len(tree):
                 tree[j] += tree[i]
         return tree
-
-    def below(self, n: int, member: bool = True) -> int:
-        tree, count, i = self.tree or self._count(), 0, n
-        while i:
-            count += tree[i]
-            i &= i - 1
-        return count if member else n - count
 
     def set(self, v: int, member: bool) -> bool:
         """Whether this changed the membership of v."""
@@ -319,8 +312,9 @@ class _Builder:
     Each fact is held once: the tree as its adjacency lists, and Y, X, the
     cut vertices and the branch roots as ``pools``, the sets ``_check``
     reads, the last two as the rule.  ``counted`` is the same four sets as
-    ``draw`` reads them: Y and X shared, the anchors as settled.  Every
-    array has room for ``cap`` vertices from the start.
+    ``draw`` reads them, by ``size`` and ``kth``: Y and X shared, the
+    anchors as settled.  Every array has room for ``cap`` vertices from the
+    start.
     """
 
     def __init__(self, start: Triple, cap: int):
@@ -347,9 +341,12 @@ class _Builder:
         """The step that ``rng.choice(list(applicable_steps(t, max_order)))``
         picks on the triple t held here, consuming the same randomness."""
         self._settle()
-        pools = self.counted
-        ops = _fitting(self.n, max_order)
-        sizes = [pools[_POOL[op]].below(self.n, _POOL[op] >= 2) * _VARIANTS[op] for op in ops]
+        pools, n = self.counted, self.n
+        # every member of a pool is a vertex below n: Y and X offer their
+        # non-members, the anchor pools their members
+        counts = (n - pools[0].size, n - pools[1].size, pools[2].size, pools[3].size)
+        ops = _fitting(n, max_order)
+        sizes = [counts[_POOL[op]] * _VARIANTS[op] for op in ops]
         i = rng.randrange(sum(sizes))
         for op, size in zip(ops, sizes):
             if i < size:
