@@ -79,17 +79,17 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _solve_result(inp: dict) -> tuple[dict, Tree]:
+def _solve_result(inp: dict) -> tuple[dict, Tree, tuple]:
     t = parse_tree(inp["graph"])
     x = _parse_x_spec(inp["x"], t)
     fields = {"oracle": lambda: solve_report(t, x).to_json_dict(), "dp-rdf": lambda: {"gamma_R": gamma_R_tree(t, x)}}
-    return {"method": inp["method"], **fields[inp["method"]]()}, t
+    return {"method": inp["method"], **fields[inp["method"]]()}, t, ()
 
 
-def _recognize_result(inp: dict) -> tuple[dict, Tree]:
+def _recognize_result(inp: dict) -> tuple[dict, Tree, tuple]:
     t = parse_tree(inp["graph"])
     ok, trace = decide_in_S(triple_for_tree(t))
-    return {"strongly_equal": ok, "trace": trace.to_json_dict()}, t
+    return {"strongly_equal": ok, "trace": trace.to_json_dict()}, t, ()
 
 
 def _generate_result(base: Triple, steps: list[OpStep], triple: Triple) -> dict:
@@ -103,10 +103,10 @@ def _generate_result(base: Triple, steps: list[OpStep], triple: Triple) -> dict:
     }
 
 
-def _grow(inp: dict) -> tuple[dict, None]:
+def _grow(inp: dict) -> tuple[dict, None, tuple]:
     triple, steps = random_member(inp["n"], inp["seed"])
     base = triple if inp["n"] == 1 else base_triples()[0]
-    return _generate_result(base, steps, triple), None
+    return _generate_result(base, steps, triple), None, ()
 
 
 def _cmd_enumerate(args) -> int:
@@ -120,23 +120,24 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _gadget_result(inp: dict) -> tuple[dict, Graph]:
+def _gadget_result(inp: dict) -> tuple[dict, Graph, tuple[str, ...]]:
     formula = CnfFormula.from_dimacs(inp["cnf"])
     gg = build_gadget(formula)
+    names = gg.names
     result = {
         "graph": {
             "n": gg.graph.n,
             "edges": [list(e) for e in gg.graph.edges],
-            "labels": {str(v): s for v, s in sorted(gg.graph.labels.items())},
+            "labels": {str(v): s for v, s in enumerate(names)},
         },
         "report": verify_gadget(formula).to_json_dict() if inp["verify"] else None,
     }
-    return result, gg.graph
+    return result, gg.graph, names
 
 
 # Each certificate kind: the type of each value of its input payload, the
-# payload from the parsed flags, and ``result, graph = compute(input)``
-# (``graph`` is what ``--dot`` writes).
+# payload from the parsed flags, and ``result, graph, names = compute(input)``
+# (``--dot`` writes ``graph`` with its vertices' ``names``).
 _KINDS = {
     "solve": (
         {"graph": str, "x": str, "method": str},
@@ -156,10 +157,10 @@ _KINDS = {
 def _cmd_certify(args) -> int:
     _, input_of, compute = _KINDS[args.command]
     inp = input_of(args)
-    result, graph = compute(inp)
+    result, graph, names = compute(inp)
     if getattr(args, "dot", None):
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(graph))
+            fh.write(to_dot(graph, names))
     _emit(_certificate(args.command, inp, result))
     return 1 if result.get("strongly_equal") is False else 0
 

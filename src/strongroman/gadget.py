@@ -6,7 +6,9 @@ minus one edge); the two degree-3 vertices stand for the positive and
 negative literal and connect to the vertices of the clauses they appear in.
 Vertex layout: variable block i occupies ``4i .. 4i+3`` with the positive
 literal at ``4i``, the negative at ``4i+1`` and the two fillers after them;
-clause vertex j is ``4*n_vars + j``.
+clause vertex j is ``4*n_vars + j``.  The graph holds no names: the gadget
+derives each vertex's name from this layout (``x{i+1}``, ``~x{i+1}``,
+``g{i+1}a``, ``g{i+1}b``, ``c{j+1}``).
 """
 
 from __future__ import annotations
@@ -137,6 +139,15 @@ class GadgetGraph:
             4 * i + o for i in range(self.n_vars) for o in (0, 1)
         )
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The name of every vertex, by the layout."""
+        block = ("x{}", "~x{}", "g{}a", "g{}b")
+        return tuple(
+            [s.format(i + 1) for i in range(self.n_vars) for s in block]
+            + [f"c{j + 1}" for j in range(self.n_clauses)]
+        )
+
 
 def build_gadget(f: CnfFormula) -> GadgetGraph:
     """The reduction graph of ``f``: one diamond per variable, one vertex per
@@ -146,21 +157,15 @@ def build_gadget(f: CnfFormula) -> GadgetGraph:
     if n == 0:
         raise CnfError("a formula with no variables and no clauses has no gadget vertex")
     edges = []
-    labels = {}
     for i in range(f.n_vars):
         pos, neg, fa, fb = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-        labels[pos] = f"x{i + 1}"
-        labels[neg] = f"~x{i + 1}"
-        labels[fa] = f"g{i + 1}a"
-        labels[fb] = f"g{i + 1}b"
         # diamond: the missing edge is between the two fillers
         edges += [(pos, neg), (pos, fa), (pos, fb), (neg, fa), (neg, fb)]
     for j, clause in enumerate(f.clauses):
         cj = 4 * f.n_vars + j
-        labels[cj] = f"c{j + 1}"
         for v, p in clause:
             edges.append((4 * v + (0 if p else 1), cj))
-    return GadgetGraph(graph=Graph(n, edges, labels), n_vars=f.n_vars, n_clauses=f.n_clauses)
+    return GadgetGraph(graph=Graph(n, edges), n_vars=f.n_vars, n_clauses=f.n_clauses)
 
 
 def sat_brute_force(f: CnfFormula) -> bool:

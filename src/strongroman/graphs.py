@@ -1,21 +1,19 @@
 """Immutable graphs and trees with the structural queries used everywhere else.
 
-Vertices are always the integers ``0 .. n-1``.  Labels, when present, are
-cosmetic metadata and never participate in equality or canonical forms.
-A graph is held flat, in CSR form (compressed sparse rows): two
-``array('i')``, ``_off`` with the n + 1 offsets and ``_nbr`` with the 2m
-neighbours, so that the neighbours of v are ``_nbr[_off[v]:_off[v + 1]]``,
-in increasing order.  No object is kept per vertex or per edge; ``edges``
-is derived from the arrays on each read.  This module owns the
-primitives the other modules share: the flat layout, the one breadth-first
-traversal (``rooted``, over the flat layout or over per-vertex neighbour
-lists; every rooted pass goes through it) and the vertex-range check on
-vertex sets (``vertex_subset``).  A tree keeps the traversal from vertex 0
-that certified it (``Tree.walk``), so passes rooted there do not walk it
-again.  The edge-list parser reads the edges of a large input straight
-into one flat array of endpoints (a small one as pairs) and lets ``Graph``
-check them; it walks the lines one by one only to name a bad one.
-``parse_tree`` checks the header's edge count before any edge line is
+Vertices are always the integers ``0 .. n-1``.  A graph is held flat, in CSR
+form (compressed sparse rows): two ``array('i')``, ``_off`` with the n + 1
+offsets and ``_nbr`` with the 2m neighbours, so that the neighbours of v are
+``_nbr[_off[v]:_off[v + 1]]``, in increasing order.  No object is kept per
+vertex or per edge; ``edges`` is derived from the arrays on each read.  This
+module owns the primitives the other modules share: the flat layout, the one
+breadth-first traversal (``rooted``, over the flat layout or over per-vertex
+neighbour lists; every rooted pass goes through it) and the vertex-range
+check on vertex sets (``vertex_subset``).  A tree keeps the traversal from
+vertex 0 that certified it (``Tree.walk``), so passes rooted there do not
+walk it again.  The edge-list parser reads the edges of a large input
+straight into one flat array of endpoints (a small one as pairs) and lets
+``Graph`` check them; it walks the lines one by one only to name a bad
+one.  ``parse_tree`` checks the header's edge count before any edge line is
 parsed.
 """
 
@@ -25,7 +23,6 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import eq, ne
-from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 
@@ -150,28 +147,21 @@ class Graph:
     (the 2m neighbours, each vertex's run sorted), so a graph keeps 12 bytes
     per vertex of a tree and no object per vertex or edge; ``edges`` is
     derived from them on each read.  Instances are immutable after
-    construction and safe to share between concurrent tasks; ``labels`` is
-    a read-only view of the constructor's copy.
-    Equality and hashing ignore labels.  The constructor's ``edges`` may be
-    pairs, or one flat ``array`` of endpoints ``a0 b0 a1 b1 ...`` (what the
-    parser reads from a large input: nothing is allocated per edge or
-    vertex beyond the arrays, where pairs cost a few hundred bytes per
-    vertex on the way but build faster); either way range, loops and
-    repeats are checked in bulk, and the first bad edge in input order is
-    named only when one fails.
+    construction and safe to share between concurrent tasks.  The
+    constructor's ``edges`` may be pairs, or one flat ``array`` of endpoints
+    ``a0 b0 a1 b1 ...`` (what the parser reads from a large input: nothing
+    is allocated per edge or vertex beyond the arrays, where pairs cost a
+    few hundred bytes per vertex on the way but build faster); either way
+    range, loops and repeats are checked in bulk, and the first bad edge in
+    input order is named only when one fails.
     """
 
-    __slots__ = ("n", "labels", "_off", "_nbr")
+    __slots__ = ("n", "_off", "_nbr")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]] = (),
-        labels: Optional[Mapping[int, str]] = None,
-    ):
-        self._fill(n, edges, labels)
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        self._fill(n, edges)
 
-    def _fill(self, n: int, edges, labels) -> Optional[list[list[int]]]:
+    def _fill(self, n: int, edges) -> Optional[list[list[int]]]:
         """Check and set every attribute; return the neighbour lists that
         pairs are sorted into on the way (None for flat endpoints), which
         ``Tree`` walks to certify itself: indexing them costs less than
@@ -179,13 +169,7 @@ class Graph:
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         off, nbr, runs = (_from_ends if isinstance(edges, array) else _from_pairs)(n, edges)
-        if labels is not None:
-            for v in labels:
-                if not (0 <= v < n):
-                    raise VertexRangeError(f"label for unknown vertex {v}")
-            labels = MappingProxyType(dict(labels))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_off", off)
         object.__setattr__(self, "_nbr", nbr)
         return runs
@@ -212,9 +196,6 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         # an endpoint outside 0..n-1 is no vertex; a negative one must not wrap
         return 0 <= a < self.n and b in self._nbr[self._off[a] : self._off[a + 1]]
-
-    def label_of(self, v: int) -> Optional[str]:
-        return None if self.labels is None else self.labels.get(v)
 
     def __eq__(self, other) -> bool:
         # sorted runs: the same n and edge set are the same two arrays
@@ -282,8 +263,8 @@ class Tree(Graph):
 
     __slots__ = ("walk",)
 
-    def __init__(self, n, edges=(), labels=None):
-        walk = _tree_walk(self, self._fill(n, edges, labels))
+    def __init__(self, n, edges=()):
+        walk = _tree_walk(self, self._fill(n, edges))
         if walk is None:
             raise NotATreeError(f"graph on {n} vertices with {len(self._nbr) // 2} edges is not a tree")
         object.__setattr__(self, "walk", (tuple(walk[0]), tuple(walk[1])))
@@ -395,12 +376,13 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def to_dot(g: Graph) -> str:
-    """Plain structural DOT export, no layout or styling decisions."""
+def to_dot(g: Graph, labels: Sequence[str] = ()) -> str:
+    """Plain structural DOT export, no layout or styling decisions.  Vertex v
+    is labelled with the name ``labels[v]`` that the caller hands in, when
+    there is one."""
     out = ["graph G {"]
     for v in g.vertices():
-        label = g.label_of(v)
-        out.append(f'  {v} [label="{label}"];' if label is not None else f"  {v};")
+        out.append(f'  {v} [label="{labels[v]}"];' if v < len(labels) else f"  {v};")
     for a, b in g.edges:
         out.append(f"  {a} -- {b};")
     out.append("}")
@@ -452,10 +434,7 @@ def split_at(t: Tree, v: int, u: int) -> Split:
     prime_edges = [
         (to_prime[a], to_prime[b]) for a, b in t.edges if a in to_prime and b in to_prime
     ]
-    prime_labels = None
-    if t.labels:
-        prime_labels = {to_prime[a]: s for a, s in t.labels.items() if a in to_prime}
-    t_prime = Tree(len(prime_old), prime_edges, prime_labels)
+    t_prime = Tree(len(prime_old), prime_edges)
     branches = tuple(
         (w, frozenset(component(w))) for w in t.neighbors(v) if w != u
     )

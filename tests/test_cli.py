@@ -536,6 +536,27 @@ def test_pinned_stdout(capsys, tmp_path, case):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_VERIFY_STDOUT[argv[0]]
 
 
+# The sha256 of the ``--dot`` file of each command that writes one; the
+# gadget's file names each vertex by its place in the layout.
+PINNED_DOT = {
+    "recognize": (["recognize", "star.txt"], "806e94d56ca64329accadf8f64332c3c165439d205fbc4e0cd3d022522de993e"),
+    "solve": (["solve", "p4.txt"], "8bc2b2426426ae90fa979d45367be8ea06f485b5a271d47b4a415a241f8d2570"),
+    "gadget": (["gadget", "f.cnf", "--verify"], "240aef3a9eccb85661cb6dc9cfeeb3740f102c76fc165fdfd77131aac3af601b"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_DOT)
+def test_pinned_dot(capsys, tmp_path, case):
+    files = {"star.txt": STAR, "p4.txt": "4 3\n0 1\n1 2\n2 3\n", "f.cnf": SAMPLE_CNF}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv, digest = PINNED_DOT[case]
+    dot = tmp_path / "g.dot"
+    assert run([str(tmp_path / a) if a in files else a for a in argv] + ["--dot", str(dot)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
+
+
 class TestParser:
     def test_built_once_and_reused(self, capsys):
         # a bad flag and --help leave the cached parser as they found it

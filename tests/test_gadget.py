@@ -98,9 +98,9 @@ class TestBuild:
 
     def test_labels(self):
         gg = build_gadget(CnfFormula(1, (((0, True),),)))
-        assert gg.graph.label_of(gg.literal_vertex(0, True)) == "x1"
-        assert gg.graph.label_of(gg.literal_vertex(0, False)) == "~x1"
-        assert gg.graph.label_of(gg.clause_vertex(0)) == "c1"
+        assert gg.names[gg.literal_vertex(0, True)] == "x1"
+        assert gg.names[gg.literal_vertex(0, False)] == "~x1"
+        assert gg.names[gg.clause_vertex(0)] == "c1"
 
 
 class TestSat:

@@ -166,7 +166,7 @@ class TestParseMatchesReference:
     @pytest.mark.parametrize("text", WELL_FORMED.values(), ids=WELL_FORMED.keys())
     def test_same_graph(self, text):
         got, ref = parse_edge_list(text), reference_parse(text)
-        assert got == ref and got.labels is None
+        assert got == ref
         assert all(got.neighbors(v) == ref.neighbors(v) for v in got.vertices())
 
     def test_random_corruptions(self):
@@ -253,7 +253,7 @@ class TestTreeBasics:
             P3.n = 5
 
     def test_dot_export(self):
-        dot = to_dot(Graph(2, [(0, 1)], labels={0: "a"}))
+        dot = to_dot(Graph(2, [(0, 1)]), ["a"])
         assert "0 -- 1;" in dot and 'label="a"' in dot
 
 
@@ -287,7 +287,7 @@ class TestKeptWalk:
             P3.walk[0][1] = 2
 
 
-def reference_graph(n, edges, labels=None):
+def reference_graph(n, edges):
     """The per-edge construction loop that bulk validation replaced: edges and
     adjacency of a valid input, or the first error in input order.
     """
@@ -308,10 +308,6 @@ def reference_graph(n, edges, labels=None):
         adj[a].append(b)
         adj[b].append(a)
     norm.sort()
-    if labels is not None:
-        for v in labels:
-            if not (0 <= v < n):
-                raise VertexRangeError(f"label for unknown vertex {v}")
     return tuple(norm), tuple(tuple(sorted(a)) for a in adj)
 
 
@@ -340,10 +336,7 @@ def random_edge_list(rng):
     if edges and rng.random() < 0.05:
         k = rng.randrange(len(edges))
         edges[k] = (rng.choice((0.0, 1.5, "1", None)), edges[k][1])
-    labels = None
-    if rng.random() < 0.3:
-        labels = {v: f"v{v}" for v in range(-1, n + 1) if rng.random() < 0.3}
-    return n, edges, labels
+    return n, edges
 
 
 # The error that parsing a short input with a huge header raises, in a child
@@ -395,9 +388,9 @@ class TestConstruction:
         rng = random.Random(2024)
         valid = 0
         for _ in range(3000):
-            n, edges, labels = random_edge_list(rng)
-            expected = outcome(reference_graph, n, edges, labels)
-            got = outcome(Graph, n, iter(edges), labels)
+            n, edges = random_edge_list(rng)
+            expected = outcome(reference_graph, n, edges)
+            got = outcome(Graph, n, iter(edges))
             if isinstance(got, Graph):
                 valid += 1
                 ref_edges, ref_adj = expected
@@ -409,7 +402,6 @@ class TestConstruction:
                     for a in range(-1, n + 1)
                     for b in range(-1, n + 1)
                 )
-                assert got.labels == labels
             else:
                 assert got == expected, (n, edges)
         assert valid >= 500
@@ -420,15 +412,15 @@ class TestConstruction:
         rng = random.Random(2025)
         built = 0
         for _ in range(3000):
-            n, edges, labels = random_edge_list(rng)
+            n, edges = random_edge_list(rng)
             if not all(type(v) is int for e in edges for v in e):
                 continue
             flat = array("i", [v for e in edges for v in e])
             for cls in (Graph, Tree):
-                got, ref = outcome(cls, n, flat, labels), outcome(cls, n, edges, labels)
+                got, ref = outcome(cls, n, flat), outcome(cls, n, edges)
                 if isinstance(ref, Graph):
                     built += 1
-                    assert type(got) is cls and got == ref and got.labels == ref.labels
+                    assert type(got) is cls and got == ref
                     assert all(got.neighbors(v) == ref.neighbors(v) for v in range(n))
                     if cls is Tree:
                         assert got.walk == ref.walk
@@ -477,18 +469,6 @@ class TestConstruction:
         # edge, kept, took 126)
         kept = run_child(_EDGES_MEMORY_CHILD, 20_000)
         assert kept <= 16, kept
-
-    def test_from_graph_labels_are_read_only(self):
-        source = {0: "a"}
-        g = Graph(3, [(0, 1), (1, 2)], labels=source)
-        t = Tree(3, [(0, 1), (1, 2)], labels=source)
-        source[0] = "changed"
-        for obj in (g, t):
-            with pytest.raises(TypeError):
-                obj.labels[0] = "changed"
-            with pytest.raises(TypeError):
-                obj.labels[2] = "new"
-        assert g.labels == t.labels == {0: "a"}
 
 
 class TestSplitAt:
