@@ -33,7 +33,6 @@ that tree, and growing it O(n log n).
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
@@ -185,19 +184,15 @@ def enumerate_T(n_max: int) -> dict[str, Triple]:
         raise ValueError("n_max must be at least 1")
     if n_max > ENUMERATION_ORDER_CAP:
         raise SizeCapError(f"n_max {n_max} exceeds the configured cap {ENUMERATION_ORDER_CAP}")
-    members: dict[str, Triple] = {}
-    queue: deque[Triple] = deque()
-    for seed in base_triples():  # one vertex each: already canonical
-        members[seed.canonical_key] = seed
-        queue.append(seed)
-    while queue:
-        tr = queue.popleft()
+    members = {seed.canonical_key: seed for seed in base_triples()}  # one vertex each: already canonical
+    order = list(members.values())  # extended as members come, so walked breadth-first
+    for tr in order:
         for step in applicable_steps(tr, n_max):
             child = apply_op(tr, step)
             key, rooting = _canonical_rooting(child.tree, child.colors())
             if key not in members:
-                members[key] = canon = child.relabelled(key, _canonical_mapping(child.tree, *rooting))
-                queue.append(canon)
+                members[key] = canon = child.relabelled(_canonical_mapping(child.tree, *rooting))
+                order.append(canon)
     return members
 
 
@@ -303,8 +298,11 @@ class _Builder:
     ``draw`` needs the anchors counted as well.  From the first draw on,
     the builder also keeps them in two ``_Pool`` sets, which that draw fills
     by one pass over the rule.  After it, a step marks the vertices whose
-    counts it changes, and ``_settle``, at the next draw, evaluates the rule
-    again there and, where a cut vertex came or went, at its neighbours.
+    anchor status it can change; linking a new leaf changes none, as the
+    anchor of operation 1 lies outside Y and that of operation 5 is a leaf
+    of S with at most one X-neighbour.  ``_settle``, at the next draw,
+    evaluates the rule again there and, where a cut vertex came or went, at
+    its neighbours.
     Every count that the cut condition reads changes monotonically after
     the first Y-vertex, so each vertex changes its cut status O(1) times and
     growth costs O(log n) amortized per step.
@@ -385,8 +383,6 @@ class _Builder:
                 self.other_sum[p] += q
             self.x_count[p] += x[q]
         self.parent[b] = a
-        if self.dirty is not None:
-            self.dirty.update((a, b))
 
     def _join_y(self, v: int) -> None:
         y = self.pools[0]

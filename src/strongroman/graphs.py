@@ -454,13 +454,25 @@ def _diameter(t: Tree) -> tuple[list[int], list[int]]:
     return path, order
 
 
-def _canonical_rooting(
-    t: Tree, colors: Optional[Mapping[int, int]] = None
-) -> tuple[str, tuple[int, list[str]]]:
+def _color_strings(t: Tree, colors: Optional[Mapping[int, int]]) -> list[str]:
+    """Each vertex's color string, from a caller's map of integers (no map
+    colors every vertex 0).  Only integers are safe inside an encoding: a
+    color such as "a(b)" could fake a subtree.  Through int(), equal colors
+    such as True and 1 give one string."""
+    if colors is None:
+        return ["0"] * t.n
+    for v in t.vertices():
+        if not isinstance(colors.get(v), int):
+            raise ValueError(f"color of vertex {v} is missing or not an integer")
+    return [str(int(colors[v])) for v in t.vertices()]
+
+
+def _canonical_rooting(t: Tree, color: Sequence[str]) -> tuple[str, tuple[int, list[str]]]:
     """The canonical form of a colored tree and the rooting that gives it:
     the best center and the subtree encodings there (equal strings iff
     color-isomorphic subtrees), which ``_canonical_mapping`` turns into the
-    relabelling.
+    relabelling.  ``color`` holds each vertex's color string, unchecked;
+    the strings must hold no parenthesis, as an integer's never does.
 
     One walk serves every center.  It is rooted at the end of a longest
     path, and a center c on that path is reached by turning around the path
@@ -470,12 +482,6 @@ def _canonical_rooting(
     path in reverse walk order (the parent comes later), then along the
     path from the walk's root to c (the next path vertex comes later).
     """
-    if colors is None:
-        color = ["0"] * t.n
-    else:
-        if not all(map(colors.__contains__, t.vertices())):
-            raise ValueError(f"color missing for vertex {next(v for v in t.vertices() if v not in colors)}")
-        color = list(map(str, map(colors.__getitem__, t.vertices())))
     off, nbr = t._off, t._nbr
     path, order = _diameter(t)
     half = len(path) // 2
@@ -524,6 +530,7 @@ def _canonical_mapping(t: Tree, root: int, enc: list[str]) -> dict[int, int]:
 def canonical_relabel(t: Tree, colors: Optional[Mapping[int, int]] = None) -> tuple[str, dict[int, int]]:
     """Canonical form of a colored tree plus a relabelling that realizes it.
 
+    Colors are integers, one per vertex (anything else raises ValueError).
     Two colored trees receive the same string exactly when some isomorphism
     maps one onto the other preserving colors.  The returned map sends old
     identifiers to the canonical ``0 .. n-1`` labelling; applying it to two
@@ -531,13 +538,13 @@ def canonical_relabel(t: Tree, colors: Optional[Mapping[int, int]] = None) -> tu
     from ``_canonical_rooting`` and the map from ``_canonical_mapping``, so
     a caller that needs the map only for some forms can skip the walk.
     """
-    key, rooting = _canonical_rooting(t, colors)
+    key, rooting = _canonical_rooting(t, _color_strings(t, colors))
     return key, _canonical_mapping(t, *rooting)
 
 
 def canonical_form(t: Tree, colors: Optional[Mapping[int, int]] = None) -> str:
     """Canonical string of a colored tree, invariant under relabelling."""
-    return _canonical_rooting(t, colors)[0]
+    return _canonical_rooting(t, _color_strings(t, colors))[0]
 
 
 def longest_x_path(t: Tree, x: Iterable[int]) -> list[int]:

@@ -30,13 +30,8 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Optional
 
-from .graphs import Split, Tree, canonical_form, canonical_relabel, longest_x_path, rooted, split_at, vertex_subset
-
-# Vertex colors for canonical forms: outside both sets, in Y only, in X
-# (membership in X forces membership in Y, so three colors suffice).
-_COLOR_FREE = 0
-_COLOR_Y_ONLY = 1
-_COLOR_X = 2
+from . import graphs
+from .graphs import Split, Tree, longest_x_path, rooted, split_at, vertex_subset
 
 
 class InternalInconsistencyError(AssertionError):
@@ -48,9 +43,9 @@ class Triple:
     """A tree with its constrained set ``x`` and certificate set ``y``.
 
     Requires ``x <= y <= V``; candidate members never violate this, so it is
-    enforced at construction.  Two values are computed on first use and then
-    kept, which is safe as a triple is immutable: ``canonical_key``, and
-    ``anchors`` (by the S-leaf rule), where operations 4 and 5 may attach.
+    enforced at construction.  Only ``anchors`` (by the S-leaf rule), where
+    operations 4 and 5 may attach, is computed on first use and then kept,
+    which is safe as a triple is immutable.
     """
 
     tree: Tree
@@ -68,15 +63,14 @@ class Triple:
     def n(self) -> int:
         return self.tree.n
 
-    def colors(self) -> dict[int, int]:
-        return {
-            v: _COLOR_X if v in self.x else _COLOR_Y_ONLY if v in self.y else _COLOR_FREE
-            for v in self.tree.vertices()
-        }
+    def colors(self) -> list[str]:
+        """Each vertex's color string for the canonical form: "2" in X, "1" in Y only, "0" outside."""
+        x, y = self.x, self.y
+        return ["2" if v in x else "1" if v in y else "0" for v in self.tree.vertices()]
 
-    @cached_property
+    @property
     def canonical_key(self) -> str:
-        return canonical_form(self.tree, self.colors())
+        return graphs._canonical_rooting(self.tree, self.colors())[0]
 
     @cached_property
     def anchors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -115,21 +109,18 @@ class Triple:
 
     def canonicalized(self) -> tuple["Triple", dict[int, int]]:
         """Canonically relabelled copy plus the old-to-new vertex map."""
-        key, mapping = canonical_relabel(self.tree, self.colors())
-        return self.relabelled(key, mapping), mapping
+        _, rooting = graphs._canonical_rooting(self.tree, self.colors())
+        mapping = graphs._canonical_mapping(self.tree, *rooting)
+        return self.relabelled(mapping), mapping
 
-    def relabelled(self, key: str, mapping: dict[int, int]) -> "Triple":
-        """The copy under ``mapping``, a relabelling that realizes the
-        canonical form ``key`` (both as ``canonical_relabel`` returns them).
-        """
+    def relabelled(self, mapping: dict[int, int]) -> "Triple":
+        """The copy under ``mapping``, which sends each vertex to its new label."""
         # the tree's edges are the parent links of its walk
-        out = Triple(
+        return Triple(
             Tree(self.n, [(mapping[p], mapping[v]) for v, p in enumerate(self.tree.walk[0]) if p != v]),
             frozenset(mapping[v] for v in self.x),
             frozenset(mapping[v] for v in self.y),
         )
-        object.__setattr__(out, "canonical_key", key)
-        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -153,6 +153,11 @@ class TestEnumerate:
                     if y is not None:
                         assert Triple(t, x, y).canonical_key in seen
 
+    def test_representatives_carry_their_keys(self, closure10):
+        # each representative is relabelled by its canonical map, and nothing
+        # hands it its key: its own canonical form must be the key it is filed under
+        assert all(m.canonical_key == key for key, m in closure10.items())
+
 
 class TestRandomMember:
     def test_order_one(self):

@@ -15,7 +15,6 @@ from strongroman.graphs import (
     SelfLoopError,
     Tree,
     VertexRangeError,
-    _canonical_rooting,
     canonical_form,
     canonical_relabel,
     format_edge_list,
@@ -574,8 +573,10 @@ class TestCanonicalForm:
         assert len(forms) == 6
 
     def test_all_trees_order_7_separate(self):
-        forms = {canonical_form(t) for t in trees_of_order(7)}
-        assert len(forms) == len(trees_of_order(7))
+        # and the 3,159 and 7,741 free trees of orders 14 and 15
+        for n in (7, 14, 15):
+            forms = {canonical_form(t) for t in trees_of_order(n)}
+            assert len(forms) == len(trees_of_order(n))
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -595,7 +596,7 @@ class TestCanonicalForm:
             t = prufer_tree(rng.randint(1, 9), rng)
             colors = {v: rng.randint(0, 2) for v in range(t.n)}
             key, mapping = canonical_relabel(t, colors)
-            assert _canonical_rooting(t, colors)[0] == key
+            assert canonical_form(t, colors) == key
             t2 = _relabel(t, [mapping[v] for v in range(t.n)])
             colors2 = {mapping[v]: c for v, c in colors.items()}
             key2, mapping2 = canonical_relabel(t2, colors2)
@@ -622,11 +623,24 @@ class TestCanonicalForm:
         for t, colors in cases:
             key, mapping = canonical_relabel(t, colors)
             assert (key, mapping) == reference_relabel(t, colors)
-            assert _canonical_rooting(t, colors)[0] == key
+            assert canonical_form(t, colors) == key
 
     def test_missing_color_rejected(self):
         with pytest.raises(ValueError):
             canonical_form(P3, {0: 0, 1: 0})
+
+    def test_non_integer_color_rejected(self):
+        # a string color could fake a subtree: both of these once read "(a(b))"
+        with pytest.raises(ValueError, match="vertex 0"):
+            canonical_form(Tree(1), {0: "a(b)"})
+        with pytest.raises(ValueError, match="vertex 0"):
+            canonical_relabel(Tree(2, [(0, 1)]), {0: "a", 1: "b"})
+        with pytest.raises(ValueError, match="vertex 2"):
+            canonical_form(P3, {0: 0, 1: 1, 2: 2.0})
+        # integers of any sign and length stay valid; equal colors give one form
+        big = canonical_form(P3, {0: -7, 1: 10**30, 2: -7})
+        assert big == canonical_form(P3, {0: -7, 1: 10**30, 2: -7}) != canonical_form(P3, {0: 7, 1: 10**30, 2: -7})
+        assert canonical_form(P3, {0: True, 1: 0, 2: 0}) == canonical_form(P3, {0: 1, 1: 0, 2: 0})
 
     def test_equal_strings_iff_color_isomorphic(self):
         # independent oracle: networkx isomorphism with color matching

@@ -427,12 +427,12 @@ def test_verdict_independent_of_labelling():
 # Past criterion 7's orders: per order, the trees strongly equal under
 # X = Y = V and all non-isomorphic trees.  The oracle found order 12's 13
 # in about 10 s and order 13's 23 in about 100 s, too slow to repeat here.
-STRONG_TREE_COUNTS_11_TO_13 = {11: (7, 235), 12: (13, 551), 13: (23, 1301)}
+STRONG_TREE_COUNTS_11_TO_15 = {11: (7, 235), 12: (13, 551), 13: (23, 1301), 14: (40, 3159), 15: (61, 7741)}
 
 
-def test_strong_tree_counts_orders_11_to_13():
-    verdicts = {n: [decide_in_S(triple_for_tree(t))[0] for t in trees_of_order(n)] for n in range(11, 14)}
-    assert {n: (sum(v), len(v)) for n, v in verdicts.items()} == STRONG_TREE_COUNTS_11_TO_13
+def test_strong_tree_counts_orders_11_to_15():
+    verdicts = {n: [decide_in_S(triple_for_tree(t))[0] for t in trees_of_order(n)] for n in range(11, 16)}
+    assert {n: (sum(v), len(v)) for n, v in verdicts.items()} == STRONG_TREE_COUNTS_11_TO_15
     # at order 11 the oracle agrees tree by tree
     assert [solve_report(t, range(11)).all_min_wrdfs_are_rdf for t in trees_of_order(11)] == verdicts[11]
 
